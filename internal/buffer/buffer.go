@@ -175,6 +175,11 @@ type Manager struct {
 	remote       RemoteNVEMCache
 	remoteShared *SharedNVEMCache
 
+	// res counts the pages resident in mm and a private nvemCache
+	// (residency.go); onLoad, when set, runs as a page becomes resident.
+	res    residency
+	onLoad func(storage.PageKey)
+
 	wbInUse int
 
 	logPartition int
@@ -566,6 +571,11 @@ func newManager(cfg Config, partitionNames []string, units []*storage.DiskUnit,
 	case cfg.NVEMCacheSize > 0:
 		m.nvemCache = lru.New[storage.PageKey, nvemFrame](cfg.NVEMCacheSize)
 	}
+	frames := cfg.BufferSize
+	if m.privateNVEM() {
+		frames += cfg.NVEMCacheSize
+	}
+	m.res = newResidency(frames)
 	if cfg.CheckpointIntervalMS > 0 {
 		m.startCheckpointDaemon()
 	}
@@ -656,7 +666,7 @@ func (m *Manager) Fix(p *sim.Process, key storage.PageKey, write bool, k func())
 		// NOFORCE: a page lives in at most one of MM and NVEM. Under
 		// deferred destage a dirty NVEM copy promotes to a dirty MM frame
 		// so the pending modification is not lost.
-		f, _ := m.nvemCache.Remove(key)
+		f, _ := m.nvemRemove(key)
 		nvemDirty = f.dirty
 	}
 
@@ -668,7 +678,7 @@ func (m *Manager) Fix(p *sim.Process, key storage.PageKey, write bool, k func())
 	// per blocking factor). The victim's write-back and the page transfer
 	// are paid afterwards.
 	victim, victimDirty, haveVictim := m.reserveFrame()
-	m.mm.Put(key, frame{dirty: write || nvemDirty})
+	m.mmPut(key, frame{dirty: write || nvemDirty})
 	op := m.getOp()
 	op.p, op.key, op.k, op.ps = p, key, k, ps
 	op.nvemHit = nvemHit
@@ -743,7 +753,7 @@ func (m *Manager) disposeVictimOp(op *bufOp) {
 // starts a duplicate fetch.
 func (m *Manager) fixRemote(p *sim.Process, key storage.PageKey, write bool, ps *PartitionStats, k func()) {
 	victim, victimDirty, haveVictim := m.reserveFrame()
-	m.mm.Put(key, frame{dirty: write})
+	m.mmPut(key, frame{dirty: write})
 	fetch := func() {
 		m.remote.Probe(key, func(hit, dirty bool) {
 			if dirty {
@@ -851,7 +861,7 @@ func (m *Manager) reserveFrame() (victim storage.PageKey, dirty, haveVictim bool
 		return storage.PageKey{}, false, false // capacity > 0; defensive
 	}
 	f, _ := m.mm.Peek(victim)
-	m.mm.Remove(victim)
+	m.mmRemove(victim)
 	return victim, f.dirty, true
 }
 
@@ -943,7 +953,18 @@ func (m *Manager) putNVEMInto(c *lru.Cache[storage.PageKey, nvemFrame], key stor
 	if !m.cfg.NVEMDeferredDestage {
 		dirty = false // disk copy is (being made) current
 	}
+	before := c.Len()
 	evictedKey, evictedFrame, evicted := c.Put(key, nvemFrame{dirty: dirty})
+	if m.privateNVEM() && c == m.nvemCache {
+		// Put evicts only when key is new; otherwise a new key grows the
+		// cache and a present one is overwritten in place.
+		if evicted {
+			m.res.drop(evictedKey)
+		}
+		if evicted || c.Len() > before {
+			m.loaded(key)
+		}
+	}
 	if !evicted || !evictedFrame.dirty {
 		return
 	}

@@ -149,6 +149,10 @@ func (m *Manager) fuzzyCheckpoint(p *sim.Process, gen int, k func()) {
 // devices. The since-checkpoint log counter is left for the recovery
 // snapshot; RecoveryScan resets it once the log has been replayed.
 func (m *Manager) Crash() {
+	m.mm.Each(func(key storage.PageKey, _ frame) bool {
+		m.res.drop(key)
+		return true
+	})
 	m.mm = lru.New[storage.PageKey, frame](m.cfg.BufferSize)
 	m.gcWaiters = nil
 }

@@ -69,12 +69,16 @@ func NewRemote(cfg Config, partitionNames []string, units []*storage.DiskUnit,
 // private cache, where the remote writer could not hit it. The hand-off
 // transfer time is charged to this node in the background — the remote
 // writer is not delayed by it. Reports whether a main-memory copy existed
-// and whether it was dirty.
+// and whether it was dirty. A page the residency filter rules out costs no
+// cache probe.
 func (m *Manager) Invalidate(key storage.PageKey) (had, dirty bool) {
+	if !m.res.mayHold(key) {
+		return false, false
+	}
 	f, ok := m.mm.Peek(key)
 	if m.nvemCache != nil && !m.sharedNVEM {
 		if cf, inCache := m.nvemCache.Peek(key); inCache {
-			m.nvemCache.Remove(key)
+			m.nvemRemove(key)
 			if cf.dirty && !(ok && f.dirty) {
 				// Deferred destage left the current version here (no
 				// newer dirty main-memory copy exists); it must reach
@@ -87,7 +91,7 @@ func (m *Manager) Invalidate(key storage.PageKey) (had, dirty bool) {
 	if !ok {
 		return false, false
 	}
-	m.mm.Remove(key)
+	m.mmRemove(key)
 	if !f.dirty {
 		return true, false
 	}

@@ -6,7 +6,11 @@
 // partition by the engine.
 package cc
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // TxnID identifies a transaction for locking purposes.
 type TxnID int64
@@ -87,14 +91,18 @@ func (e *lockEntry) compatible(txn TxnID, mode Mode) bool {
 	return true
 }
 
-// holds reports whether txn is among the entry's holders.
-func (e *lockEntry) holds(txn TxnID) bool {
+// heldMode returns txn's hold on the entry, if any; a nil entry (granule
+// nobody locks) holds nothing.
+func (e *lockEntry) heldMode(txn TxnID) (Mode, bool) {
+	if e == nil {
+		return 0, false
+	}
 	for _, h := range e.holders {
 		if h.txn == txn {
-			return true
+			return h.mode, true
 		}
 	}
-	return false
+	return 0, false
 }
 
 // setHolder grants or upgrades txn's hold on the entry.
@@ -205,22 +213,12 @@ func NewManager(onGrant func(TxnID)) *Manager {
 // Stats returns a copy of the counters.
 func (m *Manager) Stats() Stats { return m.stats }
 
-// heldMode returns txn's hold on g, if any.
-func (m *Manager) heldMode(txn TxnID, g Granule) (Mode, bool) {
-	for _, h := range m.held[txn] {
-		if h.g == g {
-			return h.mode, true
-		}
-	}
-	return 0, false
-}
-
 // HeldCount returns how many locks txn currently holds.
 func (m *Manager) HeldCount(txn TxnID) int { return len(m.held[txn]) }
 
 // Holds reports whether txn holds g in at least the given mode.
 func (m *Manager) Holds(txn TxnID, g Granule, mode Mode) bool {
-	held, ok := m.heldMode(txn, g)
+	held, ok := m.locks[g].heldMode(txn)
 	return ok && (held == Write || mode == Read)
 }
 
@@ -240,12 +238,14 @@ func (m *Manager) Acquire(txn TxnID, g Granule, mode Mode) Result {
 		panic(fmt.Sprintf("cc: txn %d acquiring while already waiting", txn))
 	}
 
-	held, holdsIt := m.heldMode(txn, g)
+	// The granule's holder set is a handful of entries; the transaction's
+	// own held list grows with its length, so the hold is looked up here.
+	e := m.locks[g]
+	held, holdsIt := e.heldMode(txn)
 	if holdsIt && (held == Write || mode == Read) {
 		return Granted // already sufficient
 	}
 
-	e := m.locks[g]
 	if e == nil {
 		e = m.newEntry()
 		m.locks[g] = e
@@ -259,7 +259,7 @@ func (m *Manager) Acquire(txn TxnID, g Granule, mode Mode) Result {
 	if e.compatible(txn, mode) && (len(e.queue) == 0 || upgrade) {
 		// Upgrades may bypass the queue: the upgrader already holds Read,
 		// so queued conflicting requests cannot run anyway.
-		m.grant(txn, g, e, mode)
+		m.grant(txn, g, e, mode, upgrade)
 		return Granted
 	}
 
@@ -323,14 +323,19 @@ func (m *Manager) freeEntry(e *lockEntry) {
 	m.freeEntries = append(m.freeEntries, e)
 }
 
-// grant records txn as holding g in mode.
-func (m *Manager) grant(txn TxnID, g Granule, e *lockEntry, mode Mode) {
+// grant records txn as holding g in mode. Only an upgrade finds g in
+// txn's held list already: a request is either an upgrade or for a granule
+// the transaction does not hold yet (a sufficient hold returns early in
+// Acquire, and a waiter acquires nothing else).
+func (m *Manager) grant(txn TxnID, g Granule, e *lockEntry, mode Mode, upgrade bool) {
 	e.setHolder(txn, mode)
 	locks := m.held[txn]
-	for i := range locks {
-		if locks[i].g == g {
-			locks[i].mode = mode
-			return
+	if upgrade {
+		for i := range locks {
+			if locks[i].g == g {
+				locks[i].mode = mode
+				return
+			}
 		}
 	}
 	if locks == nil {
@@ -358,13 +363,9 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 	}
 	locks := m.held[txn]
 	delete(m.held, txn)
-	// Insertion sort into granule order: lock sets are small (a handful of
-	// granules), and this avoids the sort.Slice allocation per commit.
-	for i := 1; i < len(locks); i++ {
-		for j := i; j > 0 && granuleLess(locks[j].g, locks[j-1].g); j-- {
-			locks[j], locks[j-1] = locks[j-1], locks[j]
-		}
-	}
+	// Granules are unique within one transaction's list, so an unstable
+	// sort still yields one order.
+	slices.SortFunc(locks, func(a, b heldLock) int { return granuleCmp(a.g, b.g) })
 	for _, h := range locks {
 		e := m.locks[h.g]
 		e.removeHolder(txn)
@@ -382,13 +383,13 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 	}
 }
 
-// granuleLess orders granules by (Partition, ID) — the deterministic lock
+// granuleCmp orders granules by (Partition, ID) — the deterministic lock
 // release order.
-func granuleLess(a, b Granule) bool {
-	if a.Partition != b.Partition {
-		return a.Partition < b.Partition
+func granuleCmp(a, b Granule) int {
+	if c := cmp.Compare(a.Partition, b.Partition); c != 0 {
+		return c
 	}
-	return a.ID < b.ID
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // removeWaiter deletes txn's queued request on g and re-dispatches (removing
@@ -427,7 +428,7 @@ func (m *Manager) dispatch(g Granule, e *lockEntry) {
 		e.queue[len(e.queue)-1] = request{}
 		e.queue = e.queue[:len(e.queue)-1]
 		delete(m.pending, head.txn)
-		m.grant(head.txn, g, e, head.mode)
+		m.grant(head.txn, g, e, head.mode, head.upgrade)
 		if m.onGrant != nil {
 			m.onGrant(head.txn)
 		}

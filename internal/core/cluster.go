@@ -392,8 +392,7 @@ func newCluster(seed int64, nodeCfgs []Config, opts clusterOpts) (*cluster, erro
 // invalidate drops every other node's copy of key before writer modifies
 // the page (write-invalidate coherence). Nodes are visited in id order for
 // determinism. Under PDES the invalidation travels as a message and lands
-// on each peer one lookahead later; either way the node that held the page
-// counts the hand-off.
+// on each peer holding the page one coherence latency later (pdes.go).
 func (c *cluster) invalidate(writer int, key storage.PageKey) {
 	if c.stride == 1 {
 		return
@@ -403,15 +402,21 @@ func (c *cluster) invalidate(writer int, key storage.PageKey) {
 		return
 	}
 	for _, n := range c.nodes {
-		if n.id == writer {
-			continue
+		if n.id != writer {
+			n.invalidate(key)
 		}
-		had, dirty := n.bm.Invalidate(key)
-		if had {
-			n.invalidations++
-			if dirty {
-				n.dirtyHandoffs++
-			}
+	}
+}
+
+// invalidate drops this node's copies of key for a remote writer; the
+// buffer's residency filter makes it free on a node that holds none. The
+// node counts a surrendered main-memory copy, and a dirty one as a
+// hand-off.
+func (n *node) invalidate(key storage.PageKey) {
+	if had, dirty := n.bm.Invalidate(key); had {
+		n.invalidations++
+		if dirty {
+			n.dirtyHandoffs++
 		}
 	}
 }

@@ -103,9 +103,11 @@ type node struct {
 	// processes and pre-bound continuations ride along) and host operations
 	// (the synchronous NVEM-transfer / device-I/O sequences). Dead
 	// transactions — killed by a crash — are never recycled: their pending
-	// kernel events still reference the record.
-	freeTx   *txRun
-	freeHost *hostOp
+	// kernel events still reference the record. freeInval holds this
+	// node's write-invalidation deliveries (pdes.go).
+	freeTx    *txRun
+	freeHost  *hostOp
+	freeInval *invalDelivery
 }
 
 // poolPoison, when true, fills freed pool records with sentinel garbage so
@@ -201,6 +203,9 @@ func newNode(c *cluster, id, numNodes int, seed int64, cfg Config) (*node, error
 		return nil, err
 	}
 	n.bm = bm
+	if c.pdes != nil && numNodes > 1 {
+		bm.SetLoadHook(func(key storage.PageKey) { c.pdes.onLoad(n, key) })
+	}
 	if c.glocks == nil {
 		n.locks = cc.NewManager(n.onLockGrant)
 	}

@@ -124,6 +124,15 @@ type pdesState struct {
 	// manager during a release read it to timestamp the wakeup.
 	msgTime sim.Time
 
+	// The in-flight invalidation table (deliverInvalidate). The
+	// coordinator publishes and expires entries at barriers only; during a
+	// window it is read-only except that node i's kernel may clear
+	// seqs[i] of any entry. flight lists entries in arrival order,
+	// flightIdx maps a page to its newest entry, flightFree recycles them.
+	flight     []*invalFlight
+	flightIdx  map[storage.PageKey]*invalFlight
+	flightFree []*invalFlight
+
 	barrier *pdesBarrier // non-nil when workers > 1
 }
 
@@ -146,6 +155,7 @@ func newPDES(c *cluster, numNodes int, lookahead sim.Time, workers int) *pdesSta
 		kernels:   make([]*sim.Sim, numNodes),
 		outboxes:  make([][]pdesMsg, numNodes),
 		seqs:      make([]uint64, numNodes),
+		flightIdx: make(map[storage.PageKey]*invalFlight),
 	}
 	for i := range pd.kernels {
 		pd.kernels[i] = sim.New()
@@ -176,7 +186,7 @@ func (pd *pdesState) run(steps []phaseStep) {
 			if w > st.at {
 				w = st.at
 			}
-			pd.deliver()
+			pd.deliver(now)
 			pd.runWindow(w)
 			now = w
 		}
@@ -221,7 +231,7 @@ func (pd *pdesState) sendLockRelease(e *node, txn cc.TxnID) {
 	pd.send(pdesMsg{kind: pdesLockRelease, from: e.id, arrive: e.s.Now() + pd.lockDelay, txn: txn})
 }
 
-// sendInvalidate broadcasts a write-invalidation for key.
+// sendInvalidate ships a write-invalidation for key to every peer.
 func (pd *pdesState) sendInvalidate(e *node, key storage.PageKey) {
 	pd.send(pdesMsg{kind: pdesInvalidate, from: e.id, arrive: e.s.Now() + pd.cohDelay, key: key})
 }
@@ -247,11 +257,12 @@ func (pd *pdesState) sendNVEMPut(e *node, key storage.PageKey, dirty bool) {
 }
 
 // deliver merges every outbox and applies the batch in (arrive, from, seq)
-// order. All pending arrivals fall inside the window about to run: a
-// message sent at T travels at least one lookahead, and windows are at
+// order at the barrier at now. No arrival precedes now: a message
+// sent during a window travels at least one lookahead, and windows are at
 // most one lookahead wide. When no node sent anything the barrier is
 // empty and the merge is skipped outright.
-func (pd *pdesState) deliver() {
+func (pd *pdesState) deliver(now sim.Time) {
+	pd.expireInvalidations(now)
 	if pd.pending.Load() == 0 {
 		return
 	}
@@ -322,20 +333,7 @@ func (pd *pdesState) dispatch(m *pdesMsg) {
 		// branch of onLockGrant timestamps them with msgTime.
 		c.glocks.ReleaseAllFrom(m.from, m.txn)
 	case pdesInvalidate:
-		for _, n := range c.nodes {
-			if n.id == m.from {
-				continue
-			}
-			n, key := n, m.key
-			n.s.Schedule(m.arrive-n.s.Now(), func() {
-				if had, dirty := n.bm.Invalidate(key); had {
-					n.invalidations++
-					if dirty {
-						n.dirtyHandoffs++
-					}
-				}
-			})
-		}
+		pd.deliverInvalidate(m)
 	case pdesReroute:
 		// Same decision chain as the coupled rerouter (admitArrival),
 		// taken at the barrier where survivor state is coherent. Drops
@@ -390,4 +388,144 @@ func (b *pdesNVEMBus) Probe(key storage.PageKey, k func(hit, dirty bool)) {
 
 func (b *pdesNVEMBus) Put(key storage.PageKey, dirty bool) {
 	b.pd.sendNVEMPut(b.e, key, dirty)
+}
+
+// Write-invalidate delivery. An invalidation does nothing on a peer that
+// holds no copy of the page when it arrives (buffer.Manager.Holds), and
+// about 99 % of peers hold none, so it is scheduled only where it can act.
+// A peer holds the page at the arrival instant exactly when it holds it at
+// the barrier, or loads it between the barrier and the arrival. The first
+// case is scheduled here; the second is published in the in-flight table
+// and scheduled by the peer itself as it loads the page (onLoad). Each
+// peer's slot in its kernel's (at, seq) order is reserved here for both
+// cases, so every delivery that happens runs exactly where a delivery to
+// every peer would have run, and every other event keeps its sequence
+// number: pop order is unchanged by construction (DESIGN.md §12).
+
+// invalFlight is one published invalidation of key, arriving at at.
+// seqs[i] is node i's reserved sequence number, or 0 when node i has
+// nothing pending: it is the sender, it was sent the delivery at the
+// barrier, or it has scheduled the delivery itself since.
+type invalFlight struct {
+	key   storage.PageKey
+	at    sim.Time
+	seqs  []uint64
+	older *invalFlight // previous in-flight invalidation of key
+}
+
+// deliverInvalidate applies one invalidation message at the barrier.
+func (pd *pdesState) deliverInvalidate(m *pdesMsg) {
+	var f *invalFlight
+	for _, n := range pd.c.nodes {
+		if n.id == m.from {
+			continue
+		}
+		sl := n.s.Reserve(m.arrive - n.s.Now())
+		if n.bm.Holds(m.key) {
+			n.s.ScheduleSlot(sl, n.invalidation(m.key))
+			continue
+		}
+		if f == nil {
+			f = pd.publish(m.key, sl.At)
+		}
+		f.seqs[n.id] = sl.Seq
+	}
+}
+
+// publish appends an in-flight entry for key arriving at at.
+func (pd *pdesState) publish(key storage.PageKey, at sim.Time) *invalFlight {
+	var f *invalFlight
+	if n := len(pd.flightFree); n > 0 {
+		f = pd.flightFree[n-1]
+		pd.flightFree = pd.flightFree[:n-1]
+	} else {
+		f = &invalFlight{seqs: make([]uint64, len(pd.kernels))}
+	}
+	f.key, f.at = key, at
+	f.older = pd.flightIdx[key]
+	pd.flightIdx[key] = f
+	pd.flight = append(pd.flight, f)
+	return f
+}
+
+// expireInvalidations drops the entries whose arrival is at or before the
+// barrier at now: every kernel has run past them, so no load can precede
+// them any more. Entries stay longer than one window when the coherence
+// latency exceeds the lookahead.
+func (pd *pdesState) expireInvalidations(now sim.Time) {
+	done := 0
+	for done < len(pd.flight) && pd.flight[done].at <= now {
+		f := pd.flight[done]
+		done++
+		// f is the oldest entry of its key: unhook it from the chain.
+		if head := pd.flightIdx[f.key]; head == f {
+			delete(pd.flightIdx, f.key)
+		} else {
+			for head.older != f {
+				head = head.older
+			}
+			head.older = nil
+		}
+		f.older = nil
+		clear(f.seqs)
+		pd.flightFree = append(pd.flightFree, f)
+	}
+	if done > 0 {
+		n := copy(pd.flight, pd.flight[done:])
+		clear(pd.flight[n:])
+		pd.flight = pd.flight[:n]
+	}
+}
+
+// onLoad runs on node e's kernel as key becomes resident there: any
+// invalidation of key still in flight to e is scheduled in its reserved
+// slot. A slot the running event has already passed fired (as a no-op)
+// before the load, and stays unscheduled.
+func (pd *pdesState) onLoad(e *node, key storage.PageKey) {
+	if len(pd.flightIdx) == 0 {
+		return
+	}
+	for f := pd.flightIdx[key]; f != nil; f = f.older {
+		sl := sim.Slot{At: f.at, Seq: f.seqs[e.id]}
+		if sl.Seq == 0 || !e.s.Ahead(sl) {
+			continue
+		}
+		f.seqs[e.id] = 0
+		e.s.ScheduleSlot(sl, e.invalidation(key))
+	}
+}
+
+// invalDelivery is one invalidation scheduled on a node's kernel: a pooled
+// record with its continuation bound once (DESIGN.md §13), on the node's
+// own freelist — the coordinator takes records only at barriers, the
+// node's kernel during windows.
+type invalDelivery struct {
+	n    *node
+	key  storage.PageKey
+	step func()
+	next *invalDelivery
+}
+
+// invalidation returns the continuation of a pooled delivery of key.
+func (n *node) invalidation(key storage.PageKey) func() {
+	d := n.freeInval
+	if d == nil {
+		d = &invalDelivery{n: n}
+		d.step = d.run
+	} else {
+		n.freeInval = d.next
+		d.next = nil
+	}
+	d.key = key
+	return d.step
+}
+
+func (d *invalDelivery) run() {
+	n, key := d.n, d.key
+	if poolPoison {
+		d.key = storage.PageKey{Partition: -1, Page: -1}
+	}
+	d.next = n.freeInval
+	n.freeInval = d
+	n.invalidate(key)
 }

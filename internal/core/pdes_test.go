@@ -3,6 +3,8 @@ package core
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/storage"
 )
 
 // pdesCluster builds a PDES-enabled Debit-Credit cluster over the
@@ -224,5 +226,77 @@ func TestPDESValidate(t *testing.T) {
 	bad = pdesCluster(t, 2, 200, -1)
 	if _, err := RunCluster(bad); err == nil {
 		t.Fatal("negative Workers must error")
+	}
+}
+
+// TestPDESInvalidateLoadInFlight pins the in-flight half of filtered
+// invalidation delivery. An invalidation is scheduled at the barrier only
+// on peers that hold the page then; a peer that loads the page after the
+// barrier but before the arrival must still lose its copy at the arrival
+// instant. The coherence latency (0.15 ms) exceeds the lookahead (0.1 ms),
+// so the invalidation sent at 0.09 ms arrives at 0.24 ms, two windows
+// after the barrier that published it. Node 1 loads the page in the first
+// of those windows, node 2 after the second barrier; both copies go at
+// 0.24 ms. A copy loaded after the arrival (node 1 again) stays.
+func TestPDESInvalidateLoadInFlight(t *testing.T) {
+	const (
+		sendAt  = 0.09
+		arrive  = sendAt + 0.15
+		eps     = 1e-6
+		reload  = 0.26
+		horizon = 0.4
+	)
+	type probe struct {
+		node  int
+		at    float64
+		holds bool
+		inval int64
+	}
+	for _, workers := range []int{1, 2} {
+		cfg := pdesCluster(t, 3, 300, workers)
+		nodeCfgs := make([]Config, cfg.NumNodes)
+		for i := range nodeCfgs {
+			nodeCfgs[i] = cfg.Base
+			nodeCfgs[i].Generator = cfg.Generators[i]
+		}
+		c, err := newCluster(cfg.Base.Seed, nodeCfgs, clusterOpts{
+			pdes:            cfg.PDES,
+			pdesLookahead:   0.1,
+			pdesLockDelay:   0.1,
+			nvemAccessDelay: 0.15,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := storage.PageKey{Partition: 0, Page: 4242}
+		fix := func(n *node, at float64) {
+			p := n.s.NewProcess("loader")
+			n.s.Schedule(at, func() { n.bm.Fix(p, key, false, func() {}) })
+		}
+		want := []probe{
+			{1, arrive - eps, true, 0}, {1, arrive + eps, false, 1},
+			{2, arrive - eps, true, 0}, {2, arrive + eps, false, 1},
+			{1, reload + eps, true, 1},
+		}
+		results := make([]probe, len(want))
+		for i, w := range want {
+			n := c.nodes[w.node]
+			n.s.Schedule(w.at, func() {
+				results[i] = probe{n.id, w.at, n.bm.Holds(key), n.invalidations}
+			})
+		}
+		for _, n := range c.nodes {
+			n.stopArrivals = true
+		}
+		writer := c.nodes[0]
+		writer.s.Schedule(sendAt, func() { c.invalidate(writer.id, key) })
+		fix(c.nodes[1], 0.15)
+		fix(c.nodes[2], 0.22)
+		fix(c.nodes[1], reload)
+		c.pdes.run([]phaseStep{{name: "end", at: horizon}})
+		if !reflect.DeepEqual(results, want) {
+			t.Errorf("workers=%d: probes (node, at, holds, invalidations)\n got %v\nwant %v", workers, results, want)
+		}
+		c.finish()
 	}
 }

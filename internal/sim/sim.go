@@ -24,6 +24,7 @@ type Sim struct {
 	now    Time
 	events eventQueue
 	seq    uint64
+	cur    uint64 // seq of the event running now (or the last one run)
 
 	nextPID int
 }
@@ -85,6 +86,42 @@ func (s *Sim) Schedule(delay Time, fn func()) {
 	s.events.Push(event{at: s.now + delay, seq: s.seq, fn: fn})
 }
 
+// Slot is a position in a kernel's (at, seq) event order.
+type Slot struct {
+	At  Time
+	Seq uint64
+}
+
+// Reserve claims the slot an event scheduled now with the given delay
+// would occupy, without queueing anything: the sequence counter advances
+// exactly as Schedule's would. A caller that may or may not need the event
+// later reserves its slot now, so every event scheduled in between keeps
+// the sequence number it would have had, and ScheduleSlot can still place
+// the event where Schedule would have put it.
+func (s *Sim) Reserve(delay Time) Slot {
+	if delay < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", delay))
+	}
+	s.seq++
+	return Slot{At: s.now + delay, Seq: s.seq}
+}
+
+// ScheduleSlot runs fn at a slot obtained from Reserve. The slot must
+// still be ahead of the running event (see Ahead), and must be used at
+// most once.
+func (s *Sim) ScheduleSlot(sl Slot, fn func()) {
+	if !s.Ahead(sl) {
+		panic(fmt.Sprintf("sim: slot (%v, %d) already passed at (%v, %d)", sl.At, sl.Seq, s.now, s.cur))
+	}
+	s.events.Push(event{at: sl.At, seq: sl.Seq, fn: fn})
+}
+
+// Ahead reports whether an event at sl would still fire, i.e. whether sl
+// orders after the event running now.
+func (s *Sim) Ahead(sl Slot) bool {
+	return sl.At > s.now || (sl.At == s.now && sl.Seq > s.cur)
+}
+
 // scheduleRelease schedules fn at now+delay with r released first at fire
 // time — the allocation-free backbone of Resource.Use.
 func (s *Sim) scheduleRelease(r *Resource, delay Time, fn func()) {
@@ -105,7 +142,7 @@ func (s *Sim) Run(until Time) Time {
 			return s.now
 		}
 		ev := s.events.Pop()
-		s.now = ev.at
+		s.now, s.cur = ev.at, ev.seq
 		if ev.release != nil {
 			ev.release.Release()
 		}
@@ -121,7 +158,7 @@ func (s *Sim) Run(until Time) Time {
 func (s *Sim) RunAll() Time {
 	for s.events.Len() > 0 {
 		ev := s.events.Pop()
-		s.now = ev.at
+		s.now, s.cur = ev.at, ev.seq
 		if ev.release != nil {
 			ev.release.Release()
 		}

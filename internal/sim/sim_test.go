@@ -328,3 +328,55 @@ func TestBlockingProcessResource(t *testing.T) {
 		t.Fatalf("finish = %v", finish)
 	}
 }
+
+// TestReservedSlotKeepsScheduleOrder: an event scheduled late into a slot
+// reserved earlier pops exactly where Schedule at reservation time would
+// have put it, ahead of equal-time events scheduled in between, and both
+// queue kinds agree.
+func TestReservedSlotKeepsScheduleOrder(t *testing.T) {
+	for _, kind := range []QueueKind{QueueCalendar, QueueHeap} {
+		run := func(deferred bool) string {
+			s := NewWithQueue(kind)
+			var order []string
+			mark := func(name string) func() { return func() { order = append(order, name) } }
+			s.Schedule(5, mark("a"))
+			var sl Slot
+			if deferred {
+				sl = s.Reserve(5)
+			} else {
+				s.Schedule(5, mark("x"))
+			}
+			s.Schedule(5, mark("b"))
+			s.Schedule(2, func() {
+				s.Schedule(3, mark("c"))
+				if deferred {
+					if !s.Ahead(sl) {
+						t.Errorf("slot (%v, %d) not ahead at %v", sl.At, sl.Seq, s.Now())
+					}
+					s.ScheduleSlot(sl, mark("x"))
+				}
+			})
+			s.RunAll()
+			if deferred && s.Ahead(sl) {
+				t.Errorf("slot still ahead after it fired")
+			}
+			return strings.Join(order, "")
+		}
+		if got, want := run(true), run(false); got != want || want != "axbc" {
+			t.Fatalf("queue %d: reserved slot order %q, Schedule order %q, want axbc", kind, got, want)
+		}
+	}
+}
+
+func TestScheduleSlotPassedPanics(t *testing.T) {
+	s := New()
+	sl := s.Reserve(1)
+	s.Schedule(2, func() {})
+	s.RunAll()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("scheduling into a passed slot must panic")
+		}
+	}()
+	s.ScheduleSlot(sl, func() {})
+}

@@ -29,11 +29,26 @@ trap 'rm -f "$tmp"' EXIT
 
 go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" . | tee "$tmp"
 
+# Host block: timings compare only between snapshots from the same host.
+# GOMAXPROCS is what the benchmarks ran with: the environment's value, else
+# Go's default of one per online CPU.
+cpu=$(sed -n 's/^model name[[:space:]]*:[[:space:]]*//p' /proc/cpuinfo 2>/dev/null | head -n 1)
+[ -n "$cpu" ] || cpu=$(sysctl -n machdep.cpu.brand_string 2>/dev/null || echo unknown)
+cpu=$(printf '%s' "$cpu" | tr -d '"\\')
+ncpu=$( (nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null) || echo 1)
+gomaxprocs="${GOMAXPROCS:-$ncpu}"
+
 awk -v date="$(date +%Y-%m-%dT%H:%M:%S%z)" \
     -v goversion="$(go env GOVERSION)" \
+    -v cpu="$cpu" \
+    -v ncpu="$ncpu" \
+    -v gomaxprocs="$gomaxprocs" \
     -v benchtime="$benchtime" '
 /^Benchmark/ {
+    # Drop the -GOMAXPROCS suffix: bench_check.sh looks baselines up by
+    # bare name, and the host block records GOMAXPROCS.
     name = $1
+    sub(/-[0-9]+$/, "", name)
     iters = $2
     metrics = ""
     for (i = 3; i + 1 <= NF; i += 2) {
@@ -42,7 +57,9 @@ awk -v date="$(date +%Y-%m-%dT%H:%M:%S%z)" \
     entries[n++] = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"metrics\": {%s}}", name, iters, metrics)
 }
 END {
-    printf "{\n  \"date\": \"%s\",\n  \"go\": \"%s\",\n  \"benchtime\": \"%s\",\n  \"benchmarks\": [\n", date, goversion, benchtime
+    printf "{\n  \"date\": \"%s\",\n", date
+    printf "  \"host\": {\"cpu\": \"%s\", \"nproc\": %s, \"gomaxprocs\": %s, \"go\": \"%s\"},\n", cpu, ncpu, gomaxprocs, goversion
+    printf "  \"benchtime\": \"%s\",\n  \"benchmarks\": [\n", benchtime
     for (i = 0; i < n; i++) printf "%s%s\n", entries[i], (i < n - 1 ? "," : "")
     printf "  ]\n}\n"
 }' "$tmp" > "$out"
