@@ -19,6 +19,7 @@ import (
 	"repro/internal/lru"
 	"repro/internal/rng"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 	"repro/internal/workload"
 )
 
@@ -428,7 +429,7 @@ func BenchmarkSimResource(b *testing.B) {
 func BenchmarkSimBlockingShim(b *testing.B) {
 	b.ReportAllocs()
 	s := sim.New()
-	s.SpawnBlocking("ticker", 0, func(bp *sim.BlockingProcess) {
+	simtest.SpawnBlocking(s, "ticker", 0, func(bp *simtest.BlockingProcess) {
 		for i := 0; i < b.N; i++ {
 			bp.Hold(1)
 		}

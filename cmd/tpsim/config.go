@@ -10,486 +10,162 @@ import (
 	"repro/internal/trace"
 )
 
-// fileConfig is the JSON schema cmd/tpsim accepts. It maps 1:1 onto the
-// engine configuration plus a workload selector.
+// fileConfig is the JSON schema cmd/tpsim accepts: the engine's own Config,
+// decoded in place (keys are its field names), plus the workload selector
+// and the optional cluster section. A key the engine types do not carry is
+// rejected.
 type fileConfig struct {
-	Seed      int64   `json:"seed"`
-	MPL       int     `json:"mpl"`
-	NumCPU    int     `json:"numCPU"`
-	MIPS      float64 `json:"mips"`
-	InstrBOT  float64 `json:"instrBOT"`
-	InstrOR   float64 `json:"instrOR"`
-	InstrEOT  float64 `json:"instrEOT"`
-	InstrIO   float64 `json:"instrIO"`
-	InstrNVEM float64 `json:"instrNVEM"`
+	tpsim.Config
 
-	WarmupMS  float64 `json:"warmupMS"`
-	MeasureMS float64 `json:"measureMS"`
-
-	Workload workloadConfig `json:"workload"`
-
-	// CCModes: "none", "page" or "object" per partition. Empty defaults to
-	// page-level locking everywhere.
-	CCModes []string `json:"ccModes"`
-
-	NVEMServers int     `json:"nvemServers"`
-	NVEMDelayMS float64 `json:"nvemDelayMS"`
-
-	DiskUnits []diskUnitConfig `json:"diskUnits"`
-	Buffer    bufferConfig     `json:"buffer"`
+	Workload workloadConfig
 
 	// Cluster switches the run to a multi-node data-sharing simulation:
 	// numNodes transaction systems share the disk units and one global
 	// NVEM, and workload.rate becomes the aggregate rate split evenly
-	// over the nodes. Absent (or numNodes <= 1 with no other cluster
-	// settings): a classic single-node run.
-	Cluster *clusterConfig `json:"cluster"`
+	// over the nodes. Absent: a classic single-node run.
+	Cluster *clusterConfig
 }
 
+// clusterConfig is the cluster section: the engine's ClusterConfig, whose
+// failure, admission and pdes subsections switch their feature on by being
+// present.
 type clusterConfig struct {
-	NumNodes        int  `json:"numNodes"`
-	SharedNVEMCache bool `json:"sharedNVEMCache"`
-	// NVEMAccessDelayMS is the shared-NVEM-cache interconnect latency;
-	// required positive to combine sharedNVEMCache with pdes (coherence
-	// needs lookahead), ignored by coupled runs.
-	NVEMAccessDelayMS float64          `json:"nvemAccessDelayMS"`
-	GlobalLocks       bool             `json:"globalLocks"`
-	InstrLockMsg      float64          `json:"instrLockMsg"`
-	LockMsgDelayMS    float64          `json:"lockMsgDelayMS"`
-	TimelineBucketMS  float64          `json:"timelineBucketMS"`
-	Failure           *failureConfig   `json:"failure"`
-	Admission         *admissionConfig `json:"admission"`
-	PDES              *pdesConfig      `json:"pdes"`
+	tpsim.ClusterConfig
+
+	Failure   *tpsim.FailureConfig
+	Admission *tpsim.AdmissionConfig
+	PDES      *tpsim.PDESConfig
 }
 
-// pdesConfig switches the cluster run to the conservative parallel engine
-// (per-node kernels and storage, lookahead barriers). workers caps the
-// kernel-executing goroutines (0 → all cores); results are identical for
-// every value.
-type pdesConfig struct {
-	Workers int `json:"workers"`
-}
-
-// admissionConfig enables the recovery-aware admission controller: while a
-// node is down, rerouted arrivals are shed once the surviving target's
-// input queue exceeds queueFactor × MPL (0 → the engine default of 1.0).
-type admissionConfig struct {
-	QueueFactor float64 `json:"queueFactor"`
-}
-
-// failureConfig injects one node crash (offset into the measurement
-// window) with redo recovery after rebootMS.
-type failureConfig struct {
-	Node      int     `json:"node"`
-	CrashAtMS float64 `json:"crashAtMS"`
-	RebootMS  float64 `json:"rebootMS"`
-}
-
+// workloadConfig selects and sizes the workload generator.
 type workloadConfig struct {
-	Kind string  `json:"kind"` // "debitcredit", "trace", "synthetic" or "classes"
-	Rate float64 `json:"rate"`
+	Kind string // "debitcredit" (default), "trace", "synthetic" or "classes"
+	Rate float64
 
 	// Arrival selects the arrival process of every transaction-type
 	// stream. Absent: Poisson (the paper's evaluation).
-	Arrival *arrivalConfig `json:"arrival"`
+	Arrival tpsim.ArrivalSpec
 
 	// Access skews the object draws: the within-branch account selection
 	// for debitcredit, the CUSTOMER selection for classes. Absent: uniform
 	// (the paper's evaluation).
-	Access *accessConfig `json:"access"`
+	Access *tpsim.AccessSpec
 
 	// Classes is the multi-class mix of workload kind "classes": the
 	// standard two-partition database with one transaction class per entry,
 	// reported separately in the result's per-class lines.
-	Classes []classConfig `json:"classes"`
+	Classes []tpsim.ClassSpec
 
 	// Debit-Credit overrides (zero = Table 4.1 defaults).
-	Branches  int64 `json:"branches"`
-	Accounts  int64 `json:"accounts"`
-	Uncluster bool  `json:"uncluster"`
+	Branches  int64
+	Accounts  int64
+	Uncluster bool
 
 	// Trace replay. PerTypeRates switches to one arrival stream per
 	// transaction type instead of a single ordered replay at Rate.
-	TraceFile    string    `json:"traceFile"`
-	PerTypeRates []float64 `json:"perTypeRates"`
+	TraceFile    string
+	PerTypeRates []float64
 
 	// General synthetic model.
-	Synthetic *tpsim.Model `json:"synthetic"`
+	Synthetic *tpsim.Model
 }
 
-// accessConfig is the JSON form of tpsim.AccessSpec. Kind selects the
-// family; only that family's parameters apply.
-type accessConfig struct {
-	Kind string `json:"kind"` // uniform (default), zipf, hotspot
-
-	// zipf: rank-frequency exponent, 0 < theta < 1.
-	Theta float64 `json:"theta"`
-
-	// hotspot: hotAccessFrac of the draws land on the first hotDataFrac of
-	// the objects (e.g. 0.9 / 0.01 — "90% of accesses to 1% of the data").
-	HotAccessFrac float64 `json:"hotAccessFrac"`
-	HotDataFrac   float64 `json:"hotDataFrac"`
-}
-
-// assemble maps the JSON form onto the engine spec.
-func (a *accessConfig) assemble() (tpsim.AccessSpec, error) {
-	spec := tpsim.AccessSpec{
-		Theta:         a.Theta,
-		HotAccessFrac: a.HotAccessFrac,
-		HotDataFrac:   a.HotDataFrac,
-	}
-	switch a.Kind {
-	case "uniform", "":
-		spec.Kind = tpsim.AccessUniform
-	case "zipf":
-		spec.Kind = tpsim.AccessZipf
-	case "hotspot":
-		spec.Kind = tpsim.AccessHotSpot
-	default:
-		return spec, fmt.Errorf("unknown access kind %q", a.Kind)
-	}
-	return spec, spec.Validate()
-}
-
-// classConfig is the JSON form of one tpsim.ClassSpec.
-type classConfig struct {
-	Name       string  `json:"name"`
-	Rate       float64 `json:"rate"`
-	Size       float64 `json:"size"`
-	WriteProb  float64 `json:"writeProb"`
-	Sequential bool    `json:"sequential"`
-	VarSize    bool    `json:"varSize"`
-}
-
-// arrivalConfig is the JSON form of tpsim.ArrivalSpec. Kind selects the
-// family; only that family's parameters apply.
-type arrivalConfig struct {
-	Kind string `json:"kind"` // poisson (default), mmpp, diurnal, spike, closedloop, replay
-
-	// mmpp: bursts at burstFactor × the mean rate covering burstFrac of
-	// the time (mean burst sojourn burstMeanMS; 0 → 500 ms), base rate
-	// derived so the long-run mean rate is workload.rate.
-	BurstFactor float64 `json:"burstFactor"`
-	BurstFrac   float64 `json:"burstFrac"`
-	BurstMeanMS float64 `json:"burstMeanMS"`
-
-	// diurnal: rate(t) = mean · (1 + amplitude · sin(2πt/periodMS + phaseRad)).
-	Amplitude float64 `json:"amplitude"`
-	PeriodMS  float64 `json:"periodMS"`
-	PhaseRad  float64 `json:"phaseRad"`
-
-	// spike: rate × spikeFactor over [spikeAtMS, spikeAtMS+spikeDurMS),
-	// offsets into the measurement window (the clock failure.crashAtMS
-	// uses, so a spike aligns with a crash by construction).
-	SpikeFactor float64 `json:"spikeFactor"`
-	SpikeAtMS   float64 `json:"spikeAtMS"`
-	SpikeDurMS  float64 `json:"spikeDurMS"`
-
-	// closedloop: terminals each cycle think(thinkMS) -> submit -> wait for
-	// the response; workload.rate is ignored for closed-loop streams.
-	Terminals int     `json:"terminals"`
-	ThinkMS   float64 `json:"thinkMS"`
-
-	// replay: piecewise-constant rate = workload.rate × the bucket's
-	// multiplier, each bucket rateBucketMS long (e.g. a timeline recorded
-	// from a trace); the schedule repeats past the last bucket.
-	RateBucketMS    float64   `json:"rateBucketMS"`
-	RateMultipliers []float64 `json:"rateMultipliers"`
-}
-
-// assemble maps the JSON form onto the engine spec.
-func (a *arrivalConfig) assemble() (tpsim.ArrivalSpec, error) {
-	spec := tpsim.ArrivalSpec{
-		BurstFactor: a.BurstFactor,
-		BurstFrac:   a.BurstFrac,
-		BurstMeanMS: a.BurstMeanMS,
-		Amplitude:   a.Amplitude,
-		PeriodMS:    a.PeriodMS,
-		PhaseRad:    a.PhaseRad,
-		SpikeFactor: a.SpikeFactor,
-		SpikeAtMS:   a.SpikeAtMS,
-		SpikeDurMS:  a.SpikeDurMS,
-
-		Terminals: a.Terminals,
-		ThinkMS:   a.ThinkMS,
-
-		RateBucketMS:    a.RateBucketMS,
-		RateMultipliers: a.RateMultipliers,
-	}
-	switch a.Kind {
-	case "poisson", "":
-		spec.Kind = tpsim.ArrivalPoisson
-	case "mmpp":
-		spec.Kind = tpsim.ArrivalMMPP
-	case "diurnal":
-		spec.Kind = tpsim.ArrivalDiurnal
-	case "spike":
-		spec.Kind = tpsim.ArrivalSpike
-	case "closedloop":
-		spec.Kind = tpsim.ArrivalClosedLoop
-	case "replay":
-		spec.Kind = tpsim.ArrivalReplay
-	default:
-		return spec, fmt.Errorf("unknown arrival kind %q", a.Kind)
-	}
-	return spec, spec.Validate()
-}
-
-type diskUnitConfig struct {
-	Name            string  `json:"name"`
-	Type            string  `json:"type"` // regular, volatile-cache, nv-cache, ssd
-	NumControllers  int     `json:"numControllers"`
-	ContrDelayMS    float64 `json:"contrDelayMS"`
-	TransDelayMS    float64 `json:"transDelayMS"`
-	NumDisks        int     `json:"numDisks"`
-	DiskDelayMS     float64 `json:"diskDelayMS"`
-	CacheSize       int     `json:"cacheSize"`
-	WriteBufferOnly bool    `json:"writeBufferOnly"`
-}
-
-type bufferConfig struct {
-	BufferSize           int               `json:"bufferSize"`
-	Force                bool              `json:"force"`
-	Logging              *bool             `json:"logging"` // default true
-	CheckpointIntervalMS float64           `json:"checkpointIntervalMS"`
-	NVEMCacheSize        int               `json:"nvemCacheSize"`
-	NVEMWriteBufferSize  int               `json:"nvemWriteBufferSize"`
-	Partitions           []partitionConfig `json:"partitions"`
-	Log                  logConfig         `json:"log"`
-}
-
-type partitionConfig struct {
-	MMResident      bool   `json:"mmResident"`
-	NVEMResident    bool   `json:"nvemResident"`
-	DiskUnit        int    `json:"diskUnit"`
-	SyncAccess      bool   `json:"syncAccess"`
-	NVEMCache       bool   `json:"nvemCache"`
-	NVEMCacheMode   string `json:"nvemCacheMode"` // all, modified, unmodified
-	NVEMWriteBuffer bool   `json:"nvemWriteBuffer"`
-}
-
-type logConfig struct {
-	NVEMResident    bool `json:"nvemResident"`
-	DiskUnit        int  `json:"diskUnit"`
-	NVEMWriteBuffer bool `json:"nvemWriteBuffer"`
-}
-
-// load reads and assembles a run configuration: the single-node engine
+// load reads and validates a run configuration: the single-node engine
 // configuration, plus a cluster description when the file carries a
 // cluster section (the returned Config is then the cluster's Base).
 func load(r io.Reader) (tpsim.Config, *tpsim.ClusterConfig, error) {
-	var fc fileConfig
+	fc := fileConfig{Config: tpsim.Defaults()}
+	fc.Buffer.Logging = true
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&fc); err != nil {
 		return tpsim.Config{}, nil, fmt.Errorf("parse config: %w", err)
 	}
-	if fc.Cluster != nil {
-		return fc.assembleCluster()
-	}
-	cfg, err := fc.assemble()
-	return cfg, nil, err
-}
 
-// assembleCluster builds the multi-node configuration: the base engine
-// configuration shared by every node plus one independent generator per
-// node, each fed an even share of the configured aggregate rate.
-func (fc *fileConfig) assembleCluster() (tpsim.Config, *tpsim.ClusterConfig, error) {
-	cl := fc.Cluster
-	if cl.NumNodes <= 0 {
-		return tpsim.Config{}, nil, fmt.Errorf("cluster.numNodes = %d", cl.NumNodes)
-	}
-	n := cl.NumNodes
-	per := *fc
-	per.Workload.Rate = fc.Workload.Rate / float64(n)
-	if len(fc.Workload.PerTypeRates) > 0 {
-		per.Workload.PerTypeRates = make([]float64, len(fc.Workload.PerTypeRates))
-		for i, rate := range fc.Workload.PerTypeRates {
-			per.Workload.PerTypeRates[i] = rate / float64(n)
+	n := 1
+	if fc.Cluster != nil {
+		if n = fc.Cluster.NumNodes; n <= 0 {
+			return tpsim.Config{}, nil, fmt.Errorf("cluster.numNodes = %d", n)
 		}
 	}
-
-	base, err := per.assemble()
-	if err != nil {
-		return tpsim.Config{}, nil, err
-	}
-	// Generators are stateful: build a fresh instance per node (assemble
-	// already produced node 0's).
+	// Generators are stateful: every node gets a fresh instance fed an
+	// even share of the configured aggregate rate.
+	w := fc.Workload.perNode(n)
 	gens := make([]tpsim.Generator, n)
-	gens[0] = base.Generator
-	for i := 1; i < n; i++ {
-		nodeCfg := base
-		if err := per.workload(&nodeCfg); err != nil {
+	cfg := fc.Config
+	for i := range gens {
+		gen, parts, err := w.generator()
+		if err != nil {
 			return tpsim.Config{}, nil, err
 		}
-		gens[i] = nodeCfg.Generator
+		if i == 0 {
+			cfg.Partitions = parts
+		}
+		gens[i] = gen
+	}
+	cfg.Generator = gens[0]
+	cfg.Arrival = w.Arrival
+
+	// Partitions beyond the ccModes list lock at page level.
+	if len(cfg.CCModes) > len(cfg.Partitions) {
+		return tpsim.Config{}, nil, fmt.Errorf("ccModes has %d entries for %d workload partitions",
+			len(cfg.CCModes), len(cfg.Partitions))
+	}
+	for len(cfg.CCModes) < len(cfg.Partitions) {
+		cfg.CCModes = append(cfg.CCModes, tpsim.PageLevel)
+	}
+	if len(cfg.Buffer.Partitions) != len(cfg.Partitions) {
+		return tpsim.Config{}, nil, fmt.Errorf("buffer.partitions has %d entries for %d workload partitions",
+			len(cfg.Buffer.Partitions), len(cfg.Partitions))
 	}
 
-	ccfg := &tpsim.ClusterConfig{
-		Base:              base,
-		NumNodes:          n,
-		Generators:        gens,
-		SharedNVEMCache:   cl.SharedNVEMCache,
-		NVEMAccessDelayMS: cl.NVEMAccessDelayMS,
-		GlobalLocks:       cl.GlobalLocks,
-		InstrLockMsg:      cl.InstrLockMsg,
-		LockMsgDelayMS:    cl.LockMsgDelayMS,
-		TimelineBucketMS:  cl.TimelineBucketMS,
+	if fc.Cluster == nil {
+		return cfg, nil, cfg.Validate()
 	}
-	if cl.Failure != nil {
-		ccfg.Failure = tpsim.FailureConfig{
-			Enabled:   true,
-			Node:      cl.Failure.Node,
-			CrashAtMS: cl.Failure.CrashAtMS,
-			RebootMS:  cl.Failure.RebootMS,
-		}
+	cl := fc.Cluster.ClusterConfig
+	cl.Base, cl.Generators = cfg, gens
+	if f := fc.Cluster.Failure; f != nil {
+		cl.Failure = *f
+		cl.Failure.Enabled = true
 	}
-	if cl.Admission != nil {
-		ccfg.Admission = tpsim.AdmissionConfig{
-			Enabled:     true,
-			QueueFactor: cl.Admission.QueueFactor,
-		}
+	if a := fc.Cluster.Admission; a != nil {
+		cl.Admission = *a
+		cl.Admission.Enabled = true
 	}
-	if cl.PDES != nil {
-		ccfg.PDES = tpsim.PDESConfig{
-			Enabled: true,
-			Workers: cl.PDES.Workers,
-		}
+	if p := fc.Cluster.PDES; p != nil {
+		cl.PDES = *p
+		cl.PDES.Enabled = true
 	}
-	return base, ccfg, nil
+	return cfg, &cl, cl.Validate()
 }
 
-func (fc *fileConfig) assemble() (tpsim.Config, error) {
-	cfg := tpsim.Defaults()
-	if fc.Seed != 0 {
-		cfg.Seed = fc.Seed
-	}
-	setIfPos(&cfg.MPL, fc.MPL)
-	setIfPos(&cfg.NumCPU, fc.NumCPU)
-	setIfPosF(&cfg.MIPS, fc.MIPS)
-	setIfPosF(&cfg.InstrBOT, fc.InstrBOT)
-	setIfPosF(&cfg.InstrOR, fc.InstrOR)
-	setIfPosF(&cfg.InstrEOT, fc.InstrEOT)
-	setIfPosF(&cfg.InstrIO, fc.InstrIO)
-	setIfPosF(&cfg.InstrNVEM, fc.InstrNVEM)
-	setIfPosF(&cfg.WarmupMS, fc.WarmupMS)
-	setIfPosF(&cfg.MeasureMS, fc.MeasureMS)
-	setIfPos(&cfg.NVEMServers, fc.NVEMServers)
-	setIfPosF(&cfg.NVEMDelay, fc.NVEMDelayMS)
-
-	if err := fc.workload(&cfg); err != nil {
-		return cfg, err
-	}
-	if fc.Workload.Arrival != nil {
-		spec, err := fc.Workload.Arrival.assemble()
-		if err != nil {
-			return cfg, err
+// perNode returns the workload one of n nodes runs: the aggregate rates
+// split evenly.
+func (w workloadConfig) perNode(n int) workloadConfig {
+	w.Rate /= float64(n)
+	if len(w.PerTypeRates) > 0 {
+		rates := make([]float64, len(w.PerTypeRates))
+		for i, rate := range w.PerTypeRates {
+			rates[i] = rate / float64(n)
 		}
-		cfg.Arrival = spec
+		w.PerTypeRates = rates
 	}
-
-	cfg.CCModes = make([]tpsim.Granularity, len(cfg.Partitions))
-	for i := range cfg.CCModes {
-		mode := "page"
-		if i < len(fc.CCModes) {
-			mode = fc.CCModes[i]
-		}
-		switch mode {
-		case "none":
-			cfg.CCModes[i] = tpsim.NoCC
-		case "page":
-			cfg.CCModes[i] = tpsim.PageLevel
-		case "object":
-			cfg.CCModes[i] = tpsim.ObjectLevel
-		default:
-			return cfg, fmt.Errorf("unknown cc mode %q", mode)
-		}
-	}
-
-	for _, u := range fc.DiskUnits {
-		du := tpsim.DiskUnitConfig{
-			Name:            u.Name,
-			NumControllers:  u.NumControllers,
-			ContrDelay:      u.ContrDelayMS,
-			TransDelay:      u.TransDelayMS,
-			NumDisks:        u.NumDisks,
-			DiskDelay:       u.DiskDelayMS,
-			CacheSize:       u.CacheSize,
-			WriteBufferOnly: u.WriteBufferOnly,
-		}
-		switch u.Type {
-		case "regular", "":
-			du.Type = tpsim.Regular
-		case "volatile-cache":
-			du.Type = tpsim.VolatileCache
-		case "nv-cache":
-			du.Type = tpsim.NVCache
-		case "ssd":
-			du.Type = tpsim.SSD
-		default:
-			return cfg, fmt.Errorf("unknown disk unit type %q", u.Type)
-		}
-		cfg.DiskUnits = append(cfg.DiskUnits, du)
-	}
-
-	logging := true
-	if fc.Buffer.Logging != nil {
-		logging = *fc.Buffer.Logging
-	}
-	cfg.Buffer = tpsim.BufferConfig{
-		BufferSize:           fc.Buffer.BufferSize,
-		Force:                fc.Buffer.Force,
-		Logging:              logging,
-		CheckpointIntervalMS: fc.Buffer.CheckpointIntervalMS,
-		NVEMCacheSize:        fc.Buffer.NVEMCacheSize,
-		NVEMWriteBufferSize:  fc.Buffer.NVEMWriteBufferSize,
-		Log: tpsim.LogAlloc{
-			NVEMResident:    fc.Buffer.Log.NVEMResident,
-			DiskUnit:        fc.Buffer.Log.DiskUnit,
-			NVEMWriteBuffer: fc.Buffer.Log.NVEMWriteBuffer,
-		},
-	}
-	if len(fc.Buffer.Partitions) != len(cfg.Partitions) {
-		return cfg, fmt.Errorf("buffer.partitions has %d entries for %d workload partitions",
-			len(fc.Buffer.Partitions), len(cfg.Partitions))
-	}
-	for _, p := range fc.Buffer.Partitions {
-		alloc := tpsim.PartitionAlloc{
-			MMResident:      p.MMResident,
-			NVEMResident:    p.NVEMResident,
-			DiskUnit:        p.DiskUnit,
-			SyncAccess:      p.SyncAccess,
-			NVEMCache:       p.NVEMCache,
-			NVEMWriteBuffer: p.NVEMWriteBuffer,
-		}
-		switch p.NVEMCacheMode {
-		case "", "all":
-			alloc.NVEMCacheMode = tpsim.MigrateAll
-		case "modified":
-			alloc.NVEMCacheMode = tpsim.MigrateModified
-		case "unmodified":
-			alloc.NVEMCacheMode = tpsim.MigrateUnmodified
-		default:
-			return cfg, fmt.Errorf("unknown nvemCacheMode %q", p.NVEMCacheMode)
-		}
-		cfg.Buffer.Partitions = append(cfg.Buffer.Partitions, alloc)
-	}
-	return cfg, nil
+	return w
 }
 
-func (fc *fileConfig) workload(cfg *tpsim.Config) error {
-	w := fc.Workload
+// generator builds a fresh generator for the selected workload and returns
+// it with the workload's partitions.
+func (w *workloadConfig) generator() (tpsim.Generator, []tpsim.Partition, error) {
 	var skew tpsim.AccessSpec
 	if w.Access != nil {
-		var err error
-		skew, err = w.Access.assemble()
-		if err != nil {
-			return err
+		skew = *w.Access
+		if err := skew.Validate(); err != nil {
+			return nil, nil, err
 		}
 		switch w.Kind {
 		case "debitcredit", "", "classes":
 		default:
-			return fmt.Errorf("workload.access is not supported for kind %q", w.Kind)
+			return nil, nil, fmt.Errorf("workload.access is not supported for kind %q", w.Kind)
 		}
 	}
 	switch w.Kind {
@@ -507,44 +183,31 @@ func (fc *fileConfig) workload(cfg *tpsim.Config) error {
 		dcc.AccountSkew = skew
 		gen, err := tpsim.NewDebitCredit(dcc)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		cfg.Partitions = gen.Partitions()
-		cfg.Generator = gen
+		return gen, gen.Partitions(), nil
 	case "classes":
 		if len(w.Classes) == 0 {
-			return fmt.Errorf("workload.kind classes requires workload.classes")
+			return nil, nil, fmt.Errorf("workload.kind classes requires workload.classes")
 		}
-		classes := make([]tpsim.ClassSpec, len(w.Classes))
-		for i, c := range w.Classes {
-			classes[i] = tpsim.ClassSpec{
-				Name:       c.Name,
-				Rate:       c.Rate,
-				Size:       c.Size,
-				WriteProb:  c.WriteProb,
-				Sequential: c.Sequential,
-				VarSize:    c.VarSize,
-			}
-		}
-		m, err := tpsim.ClassMixModel(classes, skew)
+		m, err := tpsim.ClassMixModel(w.Classes, skew)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		gen, err := tpsim.NewSynthetic(m)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		cfg.Partitions = m.Partitions
-		cfg.Generator = gen
+		return gen, m.Partitions, nil
 	case "trace":
 		f, err := os.Open(w.TraceFile)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		tr, err := trace.Read(f)
 		f.Close()
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		var src *tpsim.TraceSource
 		if len(w.PerTypeRates) > 0 {
@@ -553,13 +216,12 @@ func (fc *fileConfig) workload(cfg *tpsim.Config) error {
 			src, err = tpsim.NewTraceSource(tr, w.Rate)
 		}
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		cfg.Partitions = src.Partitions()
-		cfg.Generator = src
+		return src, src.Partitions(), nil
 	case "synthetic":
 		if w.Synthetic == nil {
-			return fmt.Errorf("workload.kind synthetic requires workload.synthetic")
+			return nil, nil, fmt.Errorf("workload.kind synthetic requires workload.synthetic")
 		}
 		for i := range w.Synthetic.TxTypes {
 			if w.Synthetic.TxTypes[i].ArrivalRate == 0 {
@@ -568,24 +230,10 @@ func (fc *fileConfig) workload(cfg *tpsim.Config) error {
 		}
 		gen, err := tpsim.NewSynthetic(w.Synthetic)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		cfg.Partitions = w.Synthetic.Partitions
-		cfg.Generator = gen
+		return gen, w.Synthetic.Partitions, nil
 	default:
-		return fmt.Errorf("unknown workload kind %q", w.Kind)
-	}
-	return nil
-}
-
-func setIfPos(dst *int, v int) {
-	if v > 0 {
-		*dst = v
-	}
-}
-
-func setIfPosF(dst *float64, v float64) {
-	if v > 0 {
-		*dst = v
+		return nil, nil, fmt.Errorf("unknown workload kind %q", w.Kind)
 	}
 }

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -26,25 +29,142 @@ func TestExampleConfigLoadsAndRuns(t *testing.T) {
 	}
 }
 
+// minimalConfig is a valid single-node file; %s splices extra top-level
+// keys (each with a leading comma) in front of the closing brace.
+const minimalConfig = `{"workload":{"kind":"debitcredit","rate":10},
+  "diskUnits":[{"name":"d","numControllers":1,"contrDelayMS":1,"numDisks":1,"diskDelayMS":15}],
+  "buffer":{"bufferSize":100,"partitions":[{},{},{}],"log":{}}%s}`
+
+// TestLoadRejectsUnknownFields: the file is decoded straight into the
+// engine's config types, but fields the loader sets itself or that the
+// file format never offered stay unknown keys.
 func TestLoadRejectsUnknownFields(t *testing.T) {
-	_, _, err := load(strings.NewReader(`{"bogus": 1}`))
-	if err == nil {
-		t.Fatal("unknown field must error")
+	cluster := func(inner string) string {
+		return fmt.Sprintf(minimalConfig, `, "cluster": {"numNodes": 2, `+inner+`}`)
+	}
+	buffer := func(key string) string {
+		return fmt.Sprintf(`{"workload":{"kind":"debitcredit","rate":10},
+		  "diskUnits":[{"name":"d","numControllers":1,"contrDelayMS":1,"numDisks":1,"diskDelayMS":15}],
+		  "buffer":{"bufferSize":100,"partitions":[{},{},{}],"log":{}, %q: 1}}`, key)
+	}
+	cases := map[string]string{
+		"bogus":               `{"bogus": 1}`,
+		"maxQueue":            fmt.Sprintf(minimalConfig, `, "maxQueue": 5`),
+		"arrival":             fmt.Sprintf(minimalConfig, `, "arrival": {"kind": "mmpp"}`),
+		"partitions":          fmt.Sprintf(minimalConfig, `, "partitions": []`),
+		"generator":           fmt.Sprintf(minimalConfig, `, "generator": null`),
+		"groupCommit":         buffer("groupCommit"),
+		"groupCommitWaitMS":   buffer("groupCommitWaitMS"),
+		"asyncReplacement":    buffer("asyncReplacement"),
+		"nvemDeferredDestage": buffer("nvemDeferredDestage"),
+		"cluster.base":        cluster(`"base": {}`),
+		"cluster.generators":  cluster(`"generators": []`),
+		"failure.enabled":     cluster(`"failure": {"enabled": true, "node": 0, "crashAtMS": 100}`),
+		"admission.enabled":   cluster(`"admission": {"enabled": true}`),
+		"pdes.enabled":        cluster(`"pdes": {"enabled": true}`),
+	}
+	for name, in := range cases {
+		_, _, err := load(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("%s: err = %v, want an unknown-field error", name, err)
+		}
 	}
 }
 
 func TestLoadRejectsBadValues(t *testing.T) {
-	cases := map[string]string{
-		"bad cc":        `{"workload":{"kind":"debitcredit","rate":10},"ccModes":["zebra"],"diskUnits":[{"name":"d","numControllers":1,"contrDelayMS":1,"numDisks":1,"diskDelayMS":15}],"buffer":{"bufferSize":100,"partitions":[{},{},{}],"log":{}}}`,
-		"bad unit type": `{"workload":{"kind":"debitcredit","rate":10},"diskUnits":[{"name":"d","type":"floppy","numControllers":1,"contrDelayMS":1,"numDisks":1,"diskDelayMS":15}],"buffer":{"bufferSize":100,"partitions":[{},{},{}],"log":{}}}`,
-		"bad wl kind":   `{"workload":{"kind":"quantum","rate":10}}`,
-		"bad mode":      `{"workload":{"kind":"debitcredit","rate":10},"diskUnits":[{"name":"d","numControllers":1,"contrDelayMS":1,"numDisks":1,"diskDelayMS":15}],"buffer":{"bufferSize":100,"partitions":[{"nvemCacheMode":"sideways"},{},{}],"log":{}}}`,
-		"mismatch":      `{"workload":{"kind":"debitcredit","rate":10},"diskUnits":[{"name":"d","numControllers":1,"contrDelayMS":1,"numDisks":1,"diskDelayMS":15}],"buffer":{"bufferSize":100,"partitions":[{}],"log":{}}}`,
+	cases := []struct{ name, in, want string }{
+		{"bad cc", fmt.Sprintf(minimalConfig, `, "ccModes": ["zebra"]`), "granularity"},
+		{"bad unit type", `{"workload":{"kind":"debitcredit","rate":10},"diskUnits":[{"name":"d","type":"floppy","numControllers":1,"contrDelayMS":1,"numDisks":1,"diskDelayMS":15}],"buffer":{"bufferSize":100,"partitions":[{},{},{}],"log":{}}}`, "disk unit type"},
+		{"bad wl kind", `{"workload":{"kind":"quantum","rate":10}}`, "workload kind"},
+		{"bad mode", `{"workload":{"kind":"debitcredit","rate":10},"diskUnits":[{"name":"d","numControllers":1,"contrDelayMS":1,"numDisks":1,"diskDelayMS":15}],"buffer":{"bufferSize":100,"partitions":[{"nvemCacheMode":"sideways"},{},{}],"log":{}}}`, "migrate mode"},
+		{"mismatch", `{"workload":{"kind":"debitcredit","rate":10},"diskUnits":[{"name":"d","numControllers":1,"contrDelayMS":1,"numDisks":1,"diskDelayMS":15}],"buffer":{"bufferSize":100,"partitions":[{}],"log":{}}}`, "buffer.partitions"},
+		// Explicit values are used as written, so a nonsensical one fails
+		// validation naming the knob instead of falling back to a default.
+		{"negative mpl", fmt.Sprintf(minimalConfig, `, "mpl": -5`), "MPL"},
+		{"zero mips", fmt.Sprintf(minimalConfig, `, "mips": 0`), "MIPS"},
+		{"negative measureMS", fmt.Sprintf(minimalConfig, `, "measureMS": -1`), "MeasureMS"},
+		{"negative instrBOT", fmt.Sprintf(minimalConfig, `, "instrBOT": -3`), "InstrBOT"},
+		// Debit-Credit has three partitions; a fourth mode has nothing to
+		// apply to.
+		{"ccModes too long", fmt.Sprintf(minimalConfig, `, "ccModes": ["page", "page", "none", "page"]`), "ccModes"},
 	}
-	for name, in := range cases {
-		if _, _, err := load(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: expected error", name)
+	for _, tc := range cases {
+		_, _, err := load(strings.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestLoadKeepsExplicitValues: a value written in the file is the value
+// the run uses, zero included; an absent key keeps the engine default.
+func TestLoadKeepsExplicitValues(t *testing.T) {
+	cfg, _, err := load(strings.NewReader(fmt.Sprintf(minimalConfig, `, "seed": 0, "warmupMS": 0`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Seed != 0 || cfg.WarmupMS != 0 {
+		t.Fatalf("seed = %d, warmupMS = %v, want both 0", cfg.Seed, cfg.WarmupMS)
+	}
+	def := tpsim.Defaults()
+	if cfg.MPL != def.MPL || cfg.MeasureMS != def.MeasureMS || !cfg.Buffer.Logging {
+		t.Fatalf("absent keys lost their defaults: MPL %d, MeasureMS %v, Logging %v",
+			cfg.MPL, cfg.MeasureMS, cfg.Buffer.Logging)
+	}
+	want := []tpsim.Granularity{tpsim.PageLevel, tpsim.PageLevel, tpsim.PageLevel}
+	if !slices.Equal(cfg.CCModes, want) {
+		t.Fatalf("ccModes default = %v, want page-level everywhere", cfg.CCModes)
+	}
+}
+
+// stringEnum is a config enum spelled by its String form in files.
+type stringEnum[T any] interface {
+	*T
+	fmt.Stringer
+	encoding.TextUnmarshaler
+}
+
+// roundTrip checks that every value parses back from its String form and
+// that "" parses to the zero value.
+func roundTrip[T comparable, PT stringEnum[T]](t *testing.T, values ...T) {
+	t.Helper()
+	for _, v := range values {
+		name := PT(&v).String()
+		var got T
+		if err := PT(&got).UnmarshalText([]byte(name)); err != nil || got != v {
+			t.Errorf("%T %q: got %v, err %v", v, name, got, err)
+		}
+	}
+	got := values[len(values)-1]
+	var zero T
+	if err := PT(&got).UnmarshalText(nil); err != nil || got != zero {
+		t.Errorf(`%T "": got %v, err %v, want the zero value`, got, got, err)
+	}
+	if err := PT(&got).UnmarshalText([]byte("bogus")); err == nil {
+		t.Errorf(`%T "bogus" parsed`, got)
+	}
+}
+
+// TestEnumNamesRoundTrip pins the names configuration files use for the
+// engine's enums.
+func TestEnumNamesRoundTrip(t *testing.T) {
+	roundTrip(t, tpsim.Regular, tpsim.VolatileCache, tpsim.NVCache, tpsim.SSD)
+	roundTrip(t, tpsim.MigrateAll, tpsim.MigrateModified, tpsim.MigrateUnmodified)
+	roundTrip(t, tpsim.AccessUniform, tpsim.AccessZipf, tpsim.AccessHotSpot)
+	roundTrip(t, tpsim.ArrivalPoisson, tpsim.ArrivalMMPP, tpsim.ArrivalDiurnal,
+		tpsim.ArrivalSpike, tpsim.ArrivalClosedLoop, tpsim.ArrivalReplay)
+
+	for name, want := range map[string]tpsim.Granularity{
+		"none": tpsim.NoCC, "page": tpsim.PageLevel, "object": tpsim.ObjectLevel,
+	} {
+		var g tpsim.Granularity
+		if err := g.UnmarshalText([]byte(name)); err != nil || g != want {
+			t.Errorf("granularity %q: got %v, err %v", name, g, err)
+		}
+	}
+	var g tpsim.Granularity
+	if err := g.UnmarshalText(nil); err == nil {
+		t.Error(`granularity "" parsed; ccModes entries must name a mode`)
 	}
 }
 

@@ -10,19 +10,22 @@
 //	tpsim -example-closedloop # print an example closed-loop terminals configuration
 //	tpsim -example-skew       # print an example skewed multi-class configuration
 //
-// The JSON schema mirrors the engine configuration: CM parameters (Table
-// 3.3 of the paper), disk units (Table 3.4), buffer-manager allocation
-// (Fig 3.2, including the fuzzy-checkpoint interval) and a workload
-// selector (debitcredit / trace / synthetic / classes). A
-// "workload.arrival" section swaps the arrival process (poisson / mmpp /
-// diurnal / spike / closedloop / replay); a "workload.access" section
-// skews the object draws (uniform / zipf / hotspot). Workload kind
-// "classes" runs a multi-class mix with per-class accounting in the
-// report. A "cluster" section switches to a multi-node data-sharing run —
-// node count, shared vs. private NVEM cache, global vs. local locking,
-// optional crash injection with redo recovery, and the recovery-aware
-// admission controller ("cluster.admission") that sheds rerouted arrivals
-// above a survivor-capacity threshold.
+// The file is decoded straight into the engine configuration: CM
+// parameters (Table 3.3 of the paper), disk units (Table 3.4) and
+// buffer-manager allocation (Fig 3.2, including the fuzzy-checkpoint
+// interval). JSON keys are the engine's field names, apart from the four
+// device delays contrDelayMS, transDelayMS, diskDelayMS and nvemDelayMS;
+// a written value is used as is, and an absent key keeps the Table 4.1
+// default. Beside the engine fields sits a workload selector (debitcredit
+// / trace / synthetic / classes). A "workload.arrival" section swaps the
+// arrival process (poisson / mmpp / diurnal / spike / closedloop /
+// replay); a "workload.access" section skews the object draws (uniform /
+// zipf / hotspot). Workload kind "classes" runs a multi-class mix with
+// per-class accounting in the report. A "cluster" section switches to a
+// multi-node data-sharing run — node count, shared vs. private NVEM cache,
+// global vs. local locking, optional crash injection with redo recovery,
+// and the recovery-aware admission controller ("cluster.admission") that
+// sheds rerouted arrivals above a survivor-capacity threshold.
 package main
 
 import (

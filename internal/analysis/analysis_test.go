@@ -92,8 +92,8 @@ func TestDefaultScopeHonored(t *testing.T) {
 }
 
 // TestRealSeamsStayClean locks the whitelist + annotation story for the
-// real concurrency seams: the PDES engine, the experiment pool, and the
-// blocking shim all lint clean, while the same rules do fire on fixtures
+// real concurrency seams: the PDES engine, the experiment pool and the
+// checkpoint writers all lint clean, while the same rules do fire on fixtures
 // (proven by the fixture tests) — so a clean run is a checked negative,
 // not a skipped check.
 func TestRealSeamsStayClean(t *testing.T) {

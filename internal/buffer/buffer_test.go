@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 	"repro/internal/storage"
 )
 
@@ -57,15 +58,15 @@ func key(part int, page int64) storage.PageKey {
 
 // fixB, forceB and writeLogB drive the manager's continuation API
 // blocking-style from test scripts.
-func fixB(b *sim.BlockingProcess, m *Manager, k storage.PageKey, write bool) {
+func fixB(b *simtest.BlockingProcess, m *Manager, k storage.PageKey, write bool) {
 	b.Await(func(done func()) { m.Fix(b.Proc(), k, write, done) })
 }
 
-func forceB(b *sim.BlockingProcess, m *Manager, keys ...storage.PageKey) {
+func forceB(b *simtest.BlockingProcess, m *Manager, keys ...storage.PageKey) {
 	b.Await(func(done func()) { m.ForcePages(b.Proc(), keys, done) })
 }
 
-func writeLogB(b *sim.BlockingProcess, m *Manager) {
+func writeLogB(b *simtest.BlockingProcess, m *Manager) {
 	b.Await(func(done func()) { m.WriteLog(b.Proc(), done) })
 }
 
@@ -104,8 +105,8 @@ func newRig(t *testing.T, cfg Config) *rig {
 
 // drive runs fn as a blocking-style simulation process and completes all
 // events.
-func (r *rig) drive(fn func(b *sim.BlockingProcess)) {
-	r.s.SpawnBlocking("driver", 0, fn)
+func (r *rig) drive(fn func(b *simtest.BlockingProcess)) {
+	simtest.SpawnBlocking(r.s, "driver", 0, fn)
 	r.s.RunAll()
 }
 
@@ -120,7 +121,7 @@ func baseCfg() Config {
 
 func TestMMHitMiss(t *testing.T) {
 	r := newRig(t, baseCfg())
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		fixB(b, r.m, key(0, 1), false) // miss
 		fixB(b, r.m, key(0, 1), false) // hit
 		fixB(b, r.m, key(0, 2), false) // miss
@@ -136,7 +137,7 @@ func TestMMHitMiss(t *testing.T) {
 
 func TestLRUReplacementCleanVictim(t *testing.T) {
 	r := newRig(t, baseCfg())
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		for page := int64(1); page <= 4; page++ { // buffer holds 3
 			fixB(b, r.m, key(0, page), false)
 		}
@@ -155,7 +156,7 @@ func TestDirtyVictimSynchronousWriteBack(t *testing.T) {
 	r := newRig(t, baseCfg())
 	var dirtyMiss, cleanMiss sim.Time
 	const rounds = 200
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		// Dirty working set: every miss evicts a dirty page (sync write +
 		// read, ~32.8 ms average).
 		for i := int64(0); i < rounds; i++ {
@@ -191,7 +192,7 @@ func TestMMResidentAlwaysHits(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Partitions[0] = PartitionAlloc{MMResident: true}
 	r := newRig(t, cfg)
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		for page := int64(0); page < 100; page++ {
 			fixB(b, r.m, key(0, page), true)
 		}
@@ -210,7 +211,7 @@ func TestNVEMResidentPartition(t *testing.T) {
 	cfg.Partitions[0] = PartitionAlloc{NVEMResident: true}
 	r := newRig(t, cfg)
 	var elapsed sim.Time
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		start := b.Now()
 		fixB(b, r.m, key(0, 1), true)  // NVEM read, 0.05ms
 		fixB(b, r.m, key(0, 2), true)  // NVEM read
@@ -247,7 +248,7 @@ func nvemCacheCfg(mmSize, nvemSize int) Config {
 
 func TestNVEMCacheMigrationAndHit(t *testing.T) {
 	r := newRig(t, nvemCacheCfg(2, 2))
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		fixB(b, r.m, key(0, 1), true)
 		fixB(b, r.m, key(0, 2), false)
 		fixB(b, r.m, key(0, 3), false) // evicts 1 (dirty) → NVEM + async write
@@ -272,7 +273,7 @@ func TestNVEMCacheMigrationAndHit(t *testing.T) {
 
 func TestNOFORCESingleCopyInvariant(t *testing.T) {
 	r := newRig(t, nvemCacheCfg(2, 4))
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		fixB(b, r.m, key(0, 1), false)
 		fixB(b, r.m, key(0, 2), false)
 		fixB(b, r.m, key(0, 3), false) // 1 → NVEM
@@ -320,7 +321,7 @@ func TestAggregateLRUEquivalence(t *testing.T) {
 			}
 		}
 		r := newRig(t, cfg)
-		r.drive(func(b *sim.BlockingProcess) {
+		r.drive(func(b *simtest.BlockingProcess) {
 			for _, page := range refString {
 				fixB(b, r.m, key(0, page), false)
 			}
@@ -343,7 +344,7 @@ func TestMigrateModeModifiedOnly(t *testing.T) {
 	cfg := nvemCacheCfg(1, 4)
 	cfg.Partitions[0].NVEMCacheMode = MigrateModified
 	r := newRig(t, cfg)
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		fixB(b, r.m, key(0, 1), true)  // dirty
 		fixB(b, r.m, key(0, 2), false) // evicts 1 → migrates (modified)
 		fixB(b, r.m, key(0, 3), false) // evicts 2 (clean) → dropped
@@ -358,7 +359,7 @@ func TestMigrateModeUnmodifiedOnly(t *testing.T) {
 	cfg := nvemCacheCfg(1, 4)
 	cfg.Partitions[0].NVEMCacheMode = MigrateUnmodified
 	r := newRig(t, cfg)
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		fixB(b, r.m, key(0, 1), true)  // dirty
 		fixB(b, r.m, key(0, 2), false) // evicts dirty 1 → sync device write
 		fixB(b, r.m, key(0, 3), false) // evicts clean 2 → migrates
@@ -384,7 +385,7 @@ func wbCfg(wbSize int) Config {
 func TestWriteBufferAbsorbsVictimWrites(t *testing.T) {
 	r := newRig(t, wbCfg(10))
 	var missDelay sim.Time
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		fixB(b, r.m, key(0, 1), true)
 		fixB(b, r.m, key(0, 2), true)
 		start := b.Now()
@@ -426,7 +427,7 @@ func TestWriteBufferFullFallsBackSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SpawnBlocking("driver", 0, func(b *sim.BlockingProcess) {
+	simtest.SpawnBlocking(s, "driver", 0, func(b *simtest.BlockingProcess) {
 		fixB(b, m, key(0, 1), true)
 		fixB(b, m, key(0, 2), true)
 		fixB(b, m, key(0, 3), true) // victim 1 → WB (now full, destage stuck)
@@ -445,7 +446,7 @@ func TestLogWriteNVEMResident(t *testing.T) {
 	cfg.Log = LogAlloc{NVEMResident: true}
 	r := newRig(t, cfg)
 	var logDelay sim.Time
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		start := b.Now()
 		writeLogB(b, r.m)
 		logDelay = b.Now() - start
@@ -467,7 +468,7 @@ func TestLogWriteThroughWriteBuffer(t *testing.T) {
 	cfg.NVEMWriteBufferSize = 5
 	r := newRig(t, cfg)
 	var logDelay sim.Time
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		start := b.Now()
 		writeLogB(b, r.m)
 		logDelay = b.Now() - start
@@ -483,7 +484,7 @@ func TestLogWriteThroughWriteBuffer(t *testing.T) {
 func TestLogWriteToDisk(t *testing.T) {
 	r := newRig(t, baseCfg())
 	var logDelay sim.Time
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		start := b.Now()
 		writeLogB(b, r.m)
 		logDelay = b.Now() - start
@@ -500,7 +501,7 @@ func TestLoggingDisabled(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Logging = false
 	r := newRig(t, cfg)
-	r.drive(func(b *sim.BlockingProcess) { writeLogB(b, r.m) })
+	r.drive(func(b *simtest.BlockingProcess) { writeLogB(b, r.m) })
 	if r.m.Stats().LogWrites != 0 {
 		t.Fatal("log write issued despite Logging=false")
 	}
@@ -511,7 +512,7 @@ func TestForcePagesWritesAndCleans(t *testing.T) {
 	cfg.Force = true
 	cfg.BufferSize = 10
 	r := newRig(t, cfg)
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		fixB(b, r.m, key(0, 1), true)
 		fixB(b, r.m, key(0, 2), true)
 		forceB(b, r.m, key(0, 1), key(0, 2))
@@ -533,7 +534,7 @@ func TestForcePagesWritesAndCleans(t *testing.T) {
 
 func TestForceNoforceConfigIgnoresForcePages(t *testing.T) {
 	r := newRig(t, baseCfg()) // NOFORCE
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		fixB(b, r.m, key(0, 1), true)
 		forceB(b, r.m, key(0, 1))
 	})
@@ -546,7 +547,7 @@ func TestForceWithNVEMCacheReplicates(t *testing.T) {
 	cfg := nvemCacheCfg(4, 4)
 	cfg.Force = true
 	r := newRig(t, cfg)
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		fixB(b, r.m, key(0, 1), true)
 		forceB(b, r.m, key(0, 1))
 	})
@@ -554,7 +555,7 @@ func TestForceWithNVEMCacheReplicates(t *testing.T) {
 	if r.m.NVEMCacheLen() != 1 {
 		t.Fatalf("NVEM len = %d, want 1", r.m.NVEMCacheLen())
 	}
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		fixB(b, r.m, key(0, 1), false)
 	})
 	if r.m.Stats().MMHits != 1 {
@@ -570,7 +571,7 @@ func TestForcePrefersCleanVictims(t *testing.T) {
 	cfg.Force = true
 	cfg.BufferSize = 3
 	r := newRig(t, cfg)
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		fixB(b, r.m, key(0, 1), false) // clean, oldest
 		fixB(b, r.m, key(0, 2), true)  // dirty (uncommitted)
 		fixB(b, r.m, key(0, 3), true)  // dirty
@@ -587,7 +588,7 @@ func TestForceSkipsAlreadyCleanAndEvicted(t *testing.T) {
 	cfg.Force = true
 	cfg.BufferSize = 10
 	r := newRig(t, cfg)
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		fixB(b, r.m, key(0, 1), true)
 		forceB(b, r.m, key(0, 1))
 		// Second force of the same (now clean) page must be a no-op, as is

@@ -3,7 +3,7 @@ package buffer
 import (
 	"testing"
 
-	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 // ckptCfg is baseCfg with a large enough buffer and the checkpoint
@@ -35,7 +35,7 @@ func TestCheckpointFlushesDirtyPages(t *testing.T) {
 	r := newRig(t, ckptCfg(500))
 	var dirtyBefore, dirtyAfter int
 	var logBefore, logAfter int64
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		for page := int64(1); page <= 3; page++ {
 			fixB(b, r.m, key(0, page), true)
 		}
@@ -69,7 +69,7 @@ func TestCheckpointDirtyKeysOrder(t *testing.T) {
 	cfg := ckptCfg(0) // no daemon; bookkeeping only
 	cfg.CheckpointIntervalMS = 0
 	r := newRig(t, cfg)
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		fixB(b, r.m, key(0, 1), true)
 		fixB(b, r.m, key(0, 2), false)
 		fixB(b, r.m, key(0, 3), true)
@@ -84,7 +84,7 @@ func TestCheckpointDirtyKeysOrder(t *testing.T) {
 // drains — RunAll terminates and no further checkpoints run.
 func TestStopCheckpointsEndsDaemon(t *testing.T) {
 	r := newRig(t, ckptCfg(50))
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		fixB(b, r.m, key(0, 1), true)
 		b.Hold(120)
 		r.m.StopCheckpoints()
@@ -107,7 +107,7 @@ func TestCrashClearsVolatileOnly(t *testing.T) {
 	cfg.NVEMCacheSize = 4
 	cfg.Partitions[0].NVEMCache = true
 	r := newRig(t, cfg)
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		for page := int64(1); page <= 4; page++ { // overflow MM into NVEM
 			fixB(b, r.m, key(0, page), false)
 		}
@@ -131,7 +131,7 @@ func TestRecoveryScanDeviceVsNVEM(t *testing.T) {
 	r := newRig(t, baseCfg())
 	readsBefore := r.unit.Stats().Reads
 	var scanned bool
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		b.Await(func(done func()) {
 			r.m.RecoveryScan(b.Proc(), 5, func() { scanned = true; done() })
 		})
@@ -146,7 +146,7 @@ func TestRecoveryScanDeviceVsNVEM(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Log = LogAlloc{NVEMResident: true}
 	rn := newRig(t, cfg)
-	rn.drive(func(b *sim.BlockingProcess) {
+	rn.drive(func(b *simtest.BlockingProcess) {
 		b.Await(func(done func()) {
 			rn.m.RecoveryScan(b.Proc(), 5, done)
 		})
@@ -165,7 +165,7 @@ func TestRecoveryScanDeviceVsNVEM(t *testing.T) {
 func TestResumeCheckpointsAfterStop(t *testing.T) {
 	r := newRig(t, ckptCfg(100))
 	var atStop, afterDead, afterResume int64
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		fixB(b, r.m, key(0, 1), true)
 		b.Hold(250)
 		r.m.StopCheckpoints()

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 	"repro/internal/storage"
 )
 
@@ -52,7 +53,7 @@ func twoNodeRig(t *testing.T, bufferSize, sharedFrames int) (s *sim.Sim, a, b *M
 // cache must be hittable by node B.
 func TestSharedNVEMCacheCrossNodeHit(t *testing.T) {
 	s, a, b, _ := twoNodeRig(t, 1, 10)
-	s.SpawnBlocking("driver", 0, func(bp *sim.BlockingProcess) {
+	simtest.SpawnBlocking(s, "driver", 0, func(bp *simtest.BlockingProcess) {
 		fixB(bp, a, key(0, 1), false) // A reads page 1
 		fixB(bp, a, key(0, 2), false) // evicts page 1 into the shared cache
 		fixB(bp, b, key(0, 1), false) // B must hit it there
@@ -73,7 +74,7 @@ func TestSharedNVEMCacheCrossNodeHit(t *testing.T) {
 // next local fix misses.
 func TestInvalidateCleanCopy(t *testing.T) {
 	s, a, _, _ := twoNodeRig(t, 2, 10)
-	s.SpawnBlocking("driver", 0, func(bp *sim.BlockingProcess) {
+	simtest.SpawnBlocking(s, "driver", 0, func(bp *simtest.BlockingProcess) {
 		fixB(bp, a, key(0, 1), false)
 	})
 	s.RunAll()
@@ -99,7 +100,7 @@ func TestInvalidatePrivateNVEMCacheCopy(t *testing.T) {
 		Partitions:    []PartitionAlloc{{DiskUnit: 0, NVEMCache: true, NVEMCacheMode: MigrateAll}},
 		Log:           LogAlloc{DiskUnit: 0},
 	})
-	r.drive(func(bp *sim.BlockingProcess) {
+	r.drive(func(bp *simtest.BlockingProcess) {
 		fixB(bp, r.m, key(0, 1), false) // read page 1
 		fixB(bp, r.m, key(0, 2), false) // evict page 1 into the private cache
 	})
@@ -113,7 +114,7 @@ func TestInvalidatePrivateNVEMCacheCopy(t *testing.T) {
 		t.Fatal("stale private-cache copy survived invalidation")
 	}
 	reads := r.m.Stats().DeviceReads
-	r.drive(func(bp *sim.BlockingProcess) {
+	r.drive(func(bp *simtest.BlockingProcess) {
 		fixB(bp, r.m, key(0, 1), false)
 	})
 	if got := r.m.Stats().DeviceReads; got != reads+1 {
@@ -126,7 +127,7 @@ func TestInvalidatePrivateNVEMCacheCopy(t *testing.T) {
 // can hit it instead of reading a stale disk copy.
 func TestInvalidateDirtyHandoff(t *testing.T) {
 	s, a, b, _ := twoNodeRig(t, 2, 10)
-	s.SpawnBlocking("driver", 0, func(bp *sim.BlockingProcess) {
+	simtest.SpawnBlocking(s, "driver", 0, func(bp *simtest.BlockingProcess) {
 		fixB(bp, a, key(0, 1), true) // A modifies page 1
 	})
 	s.RunAll()
@@ -134,7 +135,7 @@ func TestInvalidateDirtyHandoff(t *testing.T) {
 	if !had || !dirty {
 		t.Fatalf("Invalidate = (%v, %v), want (true, true)", had, dirty)
 	}
-	s.SpawnBlocking("driver2", 0, func(bp *sim.BlockingProcess) {
+	simtest.SpawnBlocking(s, "driver2", 0, func(bp *simtest.BlockingProcess) {
 		fixB(bp, b, key(0, 1), true) // B picks the page up from the shared cache
 	})
 	s.RunAll()

@@ -28,6 +28,18 @@ func (m MigrateMode) String() string {
 	}
 }
 
+// UnmarshalText inverts String, so configuration files name the mode; ""
+// is MigrateAll.
+func (m *MigrateMode) UnmarshalText(text []byte) error {
+	for v := MigrateAll; v <= MigrateUnmodified; v++ {
+		if string(text) == v.String() || len(text) == 0 && v == MigrateAll {
+			*m = v
+			return nil
+		}
+	}
+	return fmt.Errorf("buffer: unknown migrate mode %q", text)
+}
+
 // PartitionAlloc places one database partition in the storage hierarchy
 // (the 17 possibilities of Fig 3.2): main-memory resident, NVEM resident, or
 // on a disk-unit — optionally with an NVEM second-level cache and/or an NVEM
@@ -109,14 +121,14 @@ type Config struct {
 	// paper's base model omits — and which section 4.2 argues NV memory
 	// makes unnecessary). Committers wait up to GroupCommitWaitMS for the
 	// group's shared write.
-	GroupCommit       bool
-	GroupCommitWaitMS float64
+	GroupCommit       bool    `json:"-"`
+	GroupCommitWaitMS float64 `json:"-"`
 
 	// AsyncReplacement writes dirty victim pages to disk asynchronously
 	// instead of stalling the replacing transaction (the "more
 	// sophisticated buffer manager" of section 4.3). Without NV memory this
 	// recovers most of the write-buffer benefit in software.
-	AsyncReplacement bool
+	AsyncReplacement bool `json:"-"`
 
 	// CheckpointIntervalMS, when positive, runs the fuzzy-checkpoint
 	// daemon: every interval the dirty main-memory frames are flushed
@@ -130,7 +142,7 @@ type Config struct {
 	// pages modified repeatedly (the alternative propagation policy
 	// discussed in section 3.2). The eviction then pays an extra NVEM→MM
 	// transfer before the asynchronous disk write.
-	NVEMDeferredDestage bool
+	NVEMDeferredDestage bool `json:"-"`
 
 	// NVEMCacheSize is the NVEM second-level buffer size in frames (0 when
 	// no partition uses NVEM caching).

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 	"repro/internal/storage"
 )
 
@@ -75,7 +76,7 @@ func TestAsyncReplacementAvoidsSyncVictimWrite(t *testing.T) {
 	cfg.AsyncReplacement = true
 	r := newRig(t, cfg)
 	var missDelay sim.Time
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		for page := int64(1); page <= 3; page++ {
 			fixB(b, r.m, key(0, page), true)
 		}
@@ -107,7 +108,7 @@ func TestDeferredDestageSavesDiskWrites(t *testing.T) {
 		cfg.Force = true
 		cfg.NVEMDeferredDestage = deferred
 		r := newRig(t, cfg)
-		r.drive(func(b *sim.BlockingProcess) {
+		r.drive(func(b *simtest.BlockingProcess) {
 			for i := 0; i < 5; i++ {
 				fixB(b, r.m, key(0, 1), true)
 				forceB(b, r.m, key(0, 1))
@@ -142,7 +143,7 @@ func TestDeferredDestagePromotionKeepsDirty(t *testing.T) {
 	cfg := nvemCacheCfg(2, 4)
 	cfg.NVEMDeferredDestage = true
 	r := newRig(t, cfg)
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		fixB(b, r.m, key(0, 1), true) // dirty
 		fixB(b, r.m, key(0, 2), false)
 		fixB(b, r.m, key(0, 3), false) // 1 → NVEM, dirty, NOT destaged

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 	"repro/internal/storage"
 )
 
@@ -17,7 +18,7 @@ func TestBufOpPoolResetContract(t *testing.T) {
 	defer func() { poolPoison = false }()
 
 	r := newRig(t, baseCfg())
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		// Dirty every op field: three filling misses, then a miss with a
 		// dirty victim (synchronous write-back + device read), then a log
 		// write. Each recycles at least one op through the freelist.
@@ -35,7 +36,7 @@ func TestBufOpPoolResetContract(t *testing.T) {
 
 	// Recycle poisoned ops through every hot stage again and verify the
 	// outcome is exactly what fresh ops would produce.
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		fixB(b, r.m, key(0, 5), true) // miss, dirty victim
 		fixB(b, r.m, key(0, 5), true) // MM hit, no op
 		writeLogB(b, r.m)
@@ -60,7 +61,7 @@ func TestForceOpPoolResetContract(t *testing.T) {
 	cfg.BufferSize = 8
 	cfg.Force = true
 	r := newRig(t, cfg)
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		fixB(b, r.m, key(0, 1), true)
 		fixB(b, r.m, key(0, 2), true)
 		forceB(b, r.m, key(0, 1), key(0, 2))

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 	"repro/internal/storage"
 )
 
@@ -71,7 +72,7 @@ func TestFixRemoteSharedCache(t *testing.T) {
 		},
 	}
 	r := newRemoteRig(t, cfg, 4)
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		fixB(b, r.m, key(0, 1), true)  // miss, probe miss, device read
 		fixB(b, r.m, key(0, 2), false) // miss, probe miss, device read
 		fixB(b, r.m, key(0, 3), false) // victim 1 (dirty) migrates; miss
@@ -107,7 +108,7 @@ func TestFixRemoteVictimFromPlainPartition(t *testing.T) {
 		},
 	}
 	r := newRemoteRig(t, cfg, 4)
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		fixB(b, r.m, key(0, 1), true)  // plain partition, fills MM
 		fixB(b, r.m, key(0, 2), false) // plain partition, fills MM
 		fixB(b, r.m, key(1, 1), false) // remote fix; dirty plain victim

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 	"repro/internal/storage"
 )
 
@@ -140,7 +140,7 @@ func TestResidencyFilterProperty(t *testing.T) {
 // Invalidate nothing, and one it admits is still checked exactly.
 func TestInvalidateSkipsAbsentPages(t *testing.T) {
 	r := newRig(t, baseCfg())
-	r.drive(func(b *sim.BlockingProcess) { fixB(b, r.m, key(0, 1), true) })
+	r.drive(func(b *simtest.BlockingProcess) { fixB(b, r.m, key(0, 1), true) })
 	if had, dirty := r.m.Invalidate(key(0, 2)); had || dirty {
 		t.Fatal("invalidating an absent page reported a copy")
 	}

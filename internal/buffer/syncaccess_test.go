@@ -3,14 +3,14 @@ package buffer
 import (
 	"testing"
 
-	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 func TestSyncAccessUsesSyncDeviceIO(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Partitions[0].SyncAccess = true
 	r := newRig(t, cfg)
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		fixB(b, r.m, key(0, 1), true)  // sync read
 		fixB(b, r.m, key(0, 2), true)  // sync read
 		fixB(b, r.m, key(0, 3), true)  // sync read
@@ -30,7 +30,7 @@ func TestSyncAccessForceWrites(t *testing.T) {
 	cfg.BufferSize = 10
 	cfg.Partitions[0].SyncAccess = true
 	r := newRig(t, cfg)
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		fixB(b, r.m, key(0, 1), true)
 		forceB(b, r.m, key(0, 1))
 	})
@@ -42,7 +42,7 @@ func TestSyncAccessForceWrites(t *testing.T) {
 
 func TestAsyncDefaultKeepsIOOverheadPath(t *testing.T) {
 	r := newRig(t, baseCfg()) // SyncAccess false
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(func(b *simtest.BlockingProcess) {
 		fixB(b, r.m, key(0, 1), false)
 	})
 	if r.host.syncCalls != 0 || r.host.ioCalls != 1 {

@@ -42,6 +42,18 @@ const (
 	ObjectLevel
 )
 
+// UnmarshalText parses the configuration-file names "none", "page" and
+// "object".
+func (g *Granularity) UnmarshalText(text []byte) error {
+	for v, name := range [...]string{NoCC: "none", PageLevel: "page", ObjectLevel: "object"} {
+		if string(text) == name {
+			*g = Granularity(v)
+			return nil
+		}
+	}
+	return fmt.Errorf("cc: unknown granularity %q", text)
+}
+
 // Granule identifies a lockable unit: a page or an object of a partition.
 type Granule struct {
 	Partition int

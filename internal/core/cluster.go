@@ -35,7 +35,7 @@ const DefaultAdmissionQueueFactor = 1.0
 // transactions — the survivors keep serving their own load at normal
 // response times instead of dragging everyone into the backlog.
 type AdmissionConfig struct {
-	Enabled bool
+	Enabled bool `json:"-"`
 	// QueueFactor is the shedding threshold in multiples of the target
 	// node's MPL. Zero means DefaultAdmissionQueueFactor.
 	QueueFactor float64
@@ -58,13 +58,13 @@ type ClusterConfig struct {
 	// window settings apply to every node; its DiskUnits and NVEM
 	// parameters describe the storage shared by all nodes. Base.Generator
 	// is ignored — Generators supplies the per-node arrival streams.
-	Base Config
+	Base Config `json:"-"`
 
 	NumNodes int
 
 	// Generators holds one workload generator per node. Generators are
 	// stateful, so nodes must not share an instance.
-	Generators []workload.Generator
+	Generators []workload.Generator `json:"-"`
 
 	// SharedNVEMCache shares a single NVEM second-level cache of
 	// Base.Buffer.NVEMCacheSize frames across all nodes: a page destaged
@@ -97,12 +97,12 @@ type ClusterConfig struct {
 	// node's volatile state is lost, its arrivals reroute to the
 	// surviving nodes, and after RebootMS it replays its redo log and
 	// rejoins (recovery.go). The zero value disables injection.
-	Failure FailureConfig
+	Failure FailureConfig `json:"-"`
 
 	// Admission sheds rerouted arrivals above a survivor-capacity
 	// threshold while a node is down, instead of queueing them. The zero
 	// value queues everything (the pre-admission behaviour).
-	Admission AdmissionConfig
+	Admission AdmissionConfig `json:"-"`
 
 	// TimelineBucketMS, when positive, records cluster-wide commits per
 	// time bucket over the measurement window (Result.Timeline) — the
@@ -115,7 +115,7 @@ type ClusterConfig struct {
 	// lookahead barriers (pdes.go). Compatible with SharedNVEMCache only
 	// when NVEMAccessDelayMS is positive — instantaneous coherence has
 	// zero lookahead and cannot be parallelized conservatively.
-	PDES PDESConfig
+	PDES PDESConfig `json:"-"`
 }
 
 // Validate checks the cluster description.

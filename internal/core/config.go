@@ -17,6 +17,11 @@ import (
 // Config is the complete description of one simulation run: CM parameters
 // (Table 3.3), external device parameters (Table 3.4), buffer-manager
 // allocation (Fig 3.2) and the workload source.
+//
+// cmd/tpsim decodes configuration files straight into Config and the types
+// it holds: a JSON key is the field name (matched case-insensitively), a
+// tag renames the few delay fields whose key carries the unit, and
+// `json:"-"` marks the fields a file cannot set.
 type Config struct {
 	Seed int64
 
@@ -41,16 +46,16 @@ type Config struct {
 	// --- external devices (Table 3.4) ---
 	DiskUnits   []storage.DiskUnitConfig
 	NVEMServers int
-	NVEMDelay   float64 // ms per page transfer
+	NVEMDelay   float64 `json:"nvemDelayMS"` // ms per page transfer
 
 	// --- workload ---
-	Partitions []workload.Partition
-	Generator  workload.Generator
+	Partitions []workload.Partition `json:"-"`
+	Generator  workload.Generator   `json:"-"`
 	// Arrival selects the arrival process driving every transaction-type
 	// stream (Poisson, MMPP bursty, diurnal, spike). The zero value is the
 	// classic Poisson process of the paper's evaluation. Window-relative
 	// parameters (spike offsets) are anchored at the end of warm-up.
-	Arrival workload.ArrivalSpec
+	Arrival workload.ArrivalSpec `json:"-"`
 
 	// --- run control ---
 	WarmupMS  float64 // simulated warm-up excluded from measurements
@@ -58,7 +63,7 @@ type Config struct {
 	// MaxQueue caps the transaction input queue; arrivals beyond it are
 	// dropped and the run flagged Saturated (an open system under overload
 	// would otherwise queue unboundedly).
-	MaxQueue int
+	MaxQueue int `json:"-"`
 }
 
 // Validate checks the configuration for consistency.
@@ -70,8 +75,16 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: NumCPU = %d", c.NumCPU)
 	case c.MIPS <= 0:
 		return fmt.Errorf("core: MIPS = %v", c.MIPS)
-	case c.InstrBOT < 0 || c.InstrOR < 0 || c.InstrEOT < 0 || c.InstrIO < 0 || c.InstrNVEM < 0:
-		return fmt.Errorf("core: negative instruction count")
+	case c.InstrBOT < 0:
+		return fmt.Errorf("core: InstrBOT = %v", c.InstrBOT)
+	case c.InstrOR < 0:
+		return fmt.Errorf("core: InstrOR = %v", c.InstrOR)
+	case c.InstrEOT < 0:
+		return fmt.Errorf("core: InstrEOT = %v", c.InstrEOT)
+	case c.InstrIO < 0:
+		return fmt.Errorf("core: InstrIO = %v", c.InstrIO)
+	case c.InstrNVEM < 0:
+		return fmt.Errorf("core: InstrNVEM = %v", c.InstrNVEM)
 	case len(c.Partitions) == 0:
 		return fmt.Errorf("core: no partitions")
 	case c.Generator == nil:

@@ -19,7 +19,7 @@ import (
 // FailureConfig injects one node crash into a cluster run. The zero
 // value disables failure injection.
 type FailureConfig struct {
-	Enabled bool
+	Enabled bool `json:"-"`
 	// Node is the index of the node to crash.
 	Node int
 	// CrashAtMS is the crash instant as an offset into the measurement

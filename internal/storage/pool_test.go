@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 // TestDiskOpPoolResetContract pins the diskOp freelist reset contract:
@@ -19,7 +20,7 @@ func TestDiskOpPoolResetContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SpawnBlocking("driver", 0, func(b *sim.BlockingProcess) {
+	simtest.SpawnBlocking(s, "driver", 0, func(b *simtest.BlockingProcess) {
 		bWrite(b, u, key(0, 1))
 		bRead(b, u, key(0, 2))
 	})
@@ -33,7 +34,7 @@ func TestDiskOpPoolResetContract(t *testing.T) {
 
 	// Recycle the poisoned ops and verify they serve like fresh ones.
 	done := 0
-	s.SpawnBlocking("driver2", 0, func(b *sim.BlockingProcess) {
+	simtest.SpawnBlocking(s, "driver2", 0, func(b *simtest.BlockingProcess) {
 		bRead(b, u, key(0, 3))
 		bWrite(b, u, key(0, 4))
 		done = 2

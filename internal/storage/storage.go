@@ -49,15 +49,27 @@ func (t DiskUnitType) String() string {
 	}
 }
 
+// UnmarshalText inverts String, so configuration files name the type; ""
+// is Regular.
+func (t *DiskUnitType) UnmarshalText(text []byte) error {
+	for v := Regular; v <= SSD; v++ {
+		if string(text) == v.String() || len(text) == 0 && v == Regular {
+			*t = v
+			return nil
+		}
+	}
+	return fmt.Errorf("storage: unknown disk unit type %q", text)
+}
+
 // DiskUnitConfig are the per-disk-unit parameters of Table 3.4.
 type DiskUnitConfig struct {
 	Name           string
 	Type           DiskUnitType
 	NumControllers int     // disk controllers
-	ContrDelay     float64 // average controller service time per page (ms)
-	TransDelay     float64 // transmission time per page (ms), fixed
+	ContrDelay     float64 `json:"contrDelayMS"` // average controller service time per page (ms)
+	TransDelay     float64 `json:"transDelayMS"` // transmission time per page (ms), fixed
 	NumDisks       int     // disk servers (partition striped uniformly)
-	DiskDelay      float64 // average disk access time per page (ms)
+	DiskDelay      float64 `json:"diskDelayMS"` // average disk access time per page (ms)
 	CacheSize      int     // disk-cache / write-buffer frames (cache types)
 
 	// WriteBufferOnly configures a non-volatile cache used solely for

@@ -57,6 +57,18 @@ func (k AccessKind) String() string {
 	}
 }
 
+// UnmarshalText inverts String, so configuration files name the family;
+// "" is AccessUniform.
+func (k *AccessKind) UnmarshalText(text []byte) error {
+	for v := AccessUniform; v <= AccessHotSpot; v++ {
+		if string(text) == v.String() || len(text) == 0 && v == AccessUniform {
+			*k = v
+			return nil
+		}
+	}
+	return fmt.Errorf("workload: unknown access kind %q", text)
+}
+
 // AccessSpec describes an access distribution declaratively, so configs and
 // JSON files can carry it. The zero value is the uniform distribution.
 type AccessSpec struct {

@@ -73,6 +73,18 @@ func (k ArrivalKind) String() string {
 	}
 }
 
+// UnmarshalText inverts String, so configuration files name the family;
+// "" is ArrivalPoisson.
+func (k *ArrivalKind) UnmarshalText(text []byte) error {
+	for v := ArrivalPoisson; v <= ArrivalReplay; v++ {
+		if string(text) == v.String() || len(text) == 0 && v == ArrivalPoisson {
+			*k = v
+			return nil
+		}
+	}
+	return fmt.Errorf("workload: unknown arrival kind %q", text)
+}
+
 // DefaultBurstMeanMS is the mean burst-state sojourn when an MMPP spec
 // leaves BurstMeanMS zero.
 const DefaultBurstMeanMS = 500.0

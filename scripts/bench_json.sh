@@ -37,12 +37,17 @@ cpu=$(sed -n 's/^model name[[:space:]]*:[[:space:]]*//p' /proc/cpuinfo 2>/dev/nu
 cpu=$(printf '%s' "$cpu" | tr -d '"\\')
 ncpu=$( (nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null) || echo 1)
 gomaxprocs="${GOMAXPROCS:-$ncpu}"
+# Code size goes next to ns/op: non-test Go lines, counted the way
+# ROADMAP.md counts them.
+golines=$(find . -name '*.go' -not -name '*_test.go' -not -path './internal/analysis/testdata/*' |
+    xargs cat | wc -l | tr -d ' ')
 
 awk -v date="$(date +%Y-%m-%dT%H:%M:%S%z)" \
     -v goversion="$(go env GOVERSION)" \
     -v cpu="$cpu" \
     -v ncpu="$ncpu" \
     -v gomaxprocs="$gomaxprocs" \
+    -v golines="$golines" \
     -v benchtime="$benchtime" '
 /^Benchmark/ {
     # Drop the -GOMAXPROCS suffix: bench_check.sh looks baselines up by
@@ -58,7 +63,7 @@ awk -v date="$(date +%Y-%m-%dT%H:%M:%S%z)" \
 }
 END {
     printf "{\n  \"date\": \"%s\",\n", date
-    printf "  \"host\": {\"cpu\": \"%s\", \"nproc\": %s, \"gomaxprocs\": %s, \"go\": \"%s\"},\n", cpu, ncpu, gomaxprocs, goversion
+    printf "  \"host\": {\"cpu\": \"%s\", \"nproc\": %s, \"gomaxprocs\": %s, \"go\": \"%s\", \"go_lines_nontest\": %s},\n", cpu, ncpu, gomaxprocs, goversion, golines
     printf "  \"benchtime\": \"%s\",\n  \"benchmarks\": [\n", benchtime
     for (i = 0; i < n; i++) printf "%s%s\n", entries[i], (i < n - 1 ? "," : "")
     printf "  ]\n}\n"
