@@ -45,8 +45,8 @@ func TestScopes(t *testing.T) {
 	if rawgoSeam("internal/core/engine.go") {
 		t.Error("engine.go must not be a concurrency seam")
 	}
-	// The PDES coordinator lost its seam status when the worker pool moved
-	// into barrier.go (which carries a file-scoped //detlint:allow instead).
+	// The PDES coordinator runs every kernel on its own goroutine, so it
+	// is no concurrency seam.
 	if rawgoSeam("internal/core/pdes.go") {
 		t.Error("pdes.go must no longer be a concurrency seam")
 	}

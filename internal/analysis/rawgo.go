@@ -11,11 +11,10 @@ import (
 // module-root relative.
 //
 // A seam can also opt in locally with a file-scoped
-// `//detlint:allow rawgo <reason>` before its package clause (see
-// internal/core/barrier.go, the PDES worker pool): that keeps the
-// reasoning next to the code it excuses instead of in this list. The
-// PDES coordinator (internal/core/pdes.go) itself no longer spawns
-// goroutines — all raw concurrency moved behind the barrier seam.
+// `//detlint:allow rawgo <reason>` before its package clause: that keeps
+// the reasoning next to the code it excuses instead of in this list. The
+// PDES coordinator (internal/core/pdes.go) spawns no goroutines: it runs
+// every node's kernel on its own goroutine.
 var rawgoSeams = []string{
 	"internal/experiments/parallel.go", // replication/grid worker pool
 	"internal/buffer/checkpoint.go",    // async checkpoint flush writers

@@ -1,5 +1,5 @@
-// barrierseam.go carries a file-scoped allow, the mechanism the real
-// PDES barrier (internal/core/barrier.go) uses: a //detlint:allow before
+// barrierseam.go carries a file-scoped allow, the mechanism a
+// concurrency seam outside the whitelist uses: a //detlint:allow before
 // the package clause covers every goroutine and multi-case select in the
 // file, so none of the spawns below may produce a diagnostic — while the
 // identical unannotated pool in rawgo.go still trips the gate.

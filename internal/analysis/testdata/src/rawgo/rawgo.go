@@ -38,9 +38,9 @@ func allowedInline(done chan struct{}) {
 	<-done
 }
 
-// unannotatedBarrier mimics the PDES barrier's persistent worker pool
-// WITHOUT the file-scoped allow that barrierseam.go (and the real
-// internal/core/barrier.go) carries: spawning the pool must trip the
+// unannotatedBarrier mimics a persistent per-window worker pool WITHOUT
+// the file-scoped allow that barrierseam.go carries: spawning the pool
+// must trip the
 // gate — moving the pool out of a whitelisted seam file is not a way to
 // dodge the determinism contract.
 func unannotatedBarrier(workers int, park []chan struct{}) {

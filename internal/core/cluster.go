@@ -337,7 +337,7 @@ func newCluster(seed int64, nodeCfgs []Config, opts clusterOpts) (*cluster, erro
 	if opts.pdes.Enabled {
 		// Parallel build: no shared kernel and no shared storage — each
 		// node constructs its own devices in newNode.
-		c.pdes = newPDES(c, len(nodeCfgs), sim.Time(opts.pdesLookahead), opts.pdes.Workers)
+		c.pdes = newPDES(c, len(nodeCfgs), sim.Time(opts.pdesLookahead))
 		if opts.pdesLockDelay > 0 {
 			c.pdes.lockDelay = sim.Time(opts.pdesLockDelay)
 		}

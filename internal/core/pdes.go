@@ -1,10 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync/atomic"
+	"slices"
 
 	"repro/internal/cc"
 	"repro/internal/sim"
@@ -24,13 +23,14 @@ import (
 // [T, T+lookahead] without seeing its peers, because anything a peer sends
 // during that window arrives strictly after T+lookahead's window began. The
 // coordinator therefore alternates two steps: deliver all messages whose
-// arrival falls inside the next window (single-threaded, sorted by
-// (arrive, sender, sender-sequence) so the schedule is independent of the
-// worker count), then let every kernel run the window in parallel (the
-// spin-then-park barrier in barrier.go).
+// arrival falls inside the next window (sorted by (arrive, sender,
+// sender-sequence)), then run every kernel to the window's end, one after
+// the other. The kernels of a window do not see each other, so they could
+// run in parallel, but a worker pool doing so was slower than this loop at
+// every window size measured (DESIGN.md §12).
 //
-// Determinism contract: a PDES run's per-node Results are identical for
-// every Workers value, because cross-node state is only touched at
+// Determinism contract: a PDES run's per-node Results depend on the seed
+// and the configuration only, because cross-node state is only touched at
 // barriers, in sorted order, on the coordinator. PDES is not event-for-
 // event identical to the coupled single-kernel mode — the coupled mode
 // resolves lock verdicts, invalidations and shared-cache probes
@@ -40,9 +40,10 @@ import (
 // PDESConfig switches a cluster run to the conservative parallel engine.
 type PDESConfig struct {
 	Enabled bool `json:"-"`
-	// Workers caps the kernel-executing goroutines (0 = GOMAXPROCS,
-	// further capped by the node count). Results are identical for every
-	// value; 1 runs the windows inline.
+	// Workers is validated and otherwise ignored: every window runs on
+	// the calling goroutine (DESIGN.md §12). It stays so that
+	// configurations which set it keep loading, and Results are
+	// identical for every value.
 	Workers int
 }
 
@@ -91,13 +92,12 @@ type pdesMsg struct {
 	tx workload.Tx
 }
 
-// pdesState is the coordinator of a parallel cluster run: the per-node
-// kernels, the in-flight messages and the worker pool.
+// pdesState is the coordinator of a PDES cluster run: the per-node
+// kernels and the in-flight messages.
 type pdesState struct {
 	c         *cluster
 	kernels   []*sim.Sim
 	lookahead sim.Time
-	workers   int
 
 	// lockDelay is the latency of lock-manager and reroute messages;
 	// cohDelay the latency of coherence traffic (invalidations and shared-
@@ -116,8 +116,8 @@ type pdesState struct {
 
 	// pending counts queued messages across all outboxes, so an empty
 	// barrier skips the merge entirely (O(1) instead of sweeping every
-	// outbox per window). Atomic: senders append from parallel kernels.
-	pending atomic.Int64
+	// outbox per window).
+	pending int
 
 	// msgTime is the arrival instant of the message currently being
 	// applied at a barrier. Grant callbacks fired by the global lock
@@ -132,26 +132,16 @@ type pdesState struct {
 	flight     []*invalFlight
 	flightIdx  map[storage.PageKey]*invalFlight
 	flightFree []*invalFlight
-
-	barrier *pdesBarrier // non-nil when workers > 1
 }
 
-// newPDES builds the per-node kernels and (for Workers > 1) the persistent
-// worker pool. lookahead must be positive — it is the resolved message
-// latency floor of the cluster.
-func newPDES(c *cluster, numNodes int, lookahead sim.Time, workers int) *pdesState {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > numNodes {
-		workers = numNodes
-	}
+// newPDES builds the per-node kernels. lookahead must be positive — it is
+// the resolved message latency floor of the cluster.
+func newPDES(c *cluster, numNodes int, lookahead sim.Time) *pdesState {
 	pd := &pdesState{
 		c:         c,
 		lookahead: lookahead,
 		lockDelay: lookahead,
 		cohDelay:  lookahead,
-		workers:   workers,
 		kernels:   make([]*sim.Sim, numNodes),
 		outboxes:  make([][]pdesMsg, numNodes),
 		seqs:      make([]uint64, numNodes),
@@ -160,17 +150,7 @@ func newPDES(c *cluster, numNodes int, lookahead sim.Time, workers int) *pdesSta
 	for i := range pd.kernels {
 		pd.kernels[i] = sim.New()
 	}
-	if pd.workers > 1 {
-		pd.barrier = newPDESBarrier(pd.kernels, pd.workers)
-	}
 	return pd
-}
-
-// stop shuts the worker pool down (idempotent).
-func (pd *pdesState) stop() {
-	if pd.barrier != nil {
-		pd.barrier.stop()
-	}
 }
 
 // run drives the phase schedule: windows of one lookahead, a message
@@ -187,36 +167,25 @@ func (pd *pdesState) run(steps []phaseStep) {
 				w = st.at
 			}
 			pd.deliver(now)
-			pd.runWindow(w)
+			for _, k := range pd.kernels {
+				k.Run(w)
+			}
 			now = w
 		}
 		if st.run != nil {
 			st.run()
 		}
 	}
-	pd.stop()
-}
-
-// runWindow advances every kernel to w.
-func (pd *pdesState) runWindow(w sim.Time) {
-	if pd.barrier != nil {
-		pd.barrier.runWindow(w)
-		return
-	}
-	for _, k := range pd.kernels {
-		k.Run(w)
-	}
 }
 
 // send queues one message from its sender's logical process. Called only
 // from the sending node's kernel (or from the coordinator at a barrier,
-// e.g. crash-time lock releases — outbox and sequence slots are per-node
-// either way, so only the pending count needs an atomic).
+// e.g. crash-time lock releases).
 func (pd *pdesState) send(m pdesMsg) {
 	pd.seqs[m.from]++
 	m.seq = pd.seqs[m.from]
 	pd.outboxes[m.from] = append(pd.outboxes[m.from], m)
-	pd.pending.Add(1)
+	pd.pending++
 }
 
 // sendLockReq ships a lock request to the global lock manager; the verdict
@@ -263,25 +232,16 @@ func (pd *pdesState) sendNVEMPut(e *node, key storage.PageKey, dirty bool) {
 // empty and the merge is skipped outright.
 func (pd *pdesState) deliver(now sim.Time) {
 	pd.expireInvalidations(now)
-	if pd.pending.Load() == 0 {
+	if pd.pending == 0 {
 		return
 	}
-	pd.pending.Store(0)
+	pd.pending = 0
 	batch := pd.inbox[:0]
 	for i := range pd.outboxes {
 		batch = append(batch, pd.outboxes[i]...)
 		pd.outboxes[i] = pd.outboxes[i][:0]
 	}
-	sort.Slice(batch, func(i, j int) bool {
-		a, b := &batch[i], &batch[j]
-		if a.arrive != b.arrive {
-			return a.arrive < b.arrive
-		}
-		if a.from != b.from {
-			return a.from < b.from
-		}
-		return a.seq < b.seq
-	})
+	slices.SortFunc(batch, comparePDESMsg)
 	for i := range batch {
 		pd.dispatch(&batch[i])
 	}
@@ -289,6 +249,19 @@ func (pd *pdesState) deliver(now sim.Time) {
 		batch[i] = pdesMsg{} // drop closure references before reuse
 	}
 	pd.inbox = batch[:0]
+}
+
+// comparePDESMsg orders a barrier batch by (arrive, from, seq). The key is
+// unique per message, so the order is total and the unstable sort is
+// deterministic.
+func comparePDESMsg(a, b pdesMsg) int {
+	if c := cmp.Compare(a.arrive, b.arrive); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.from, b.from); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // dispatch applies one message on the coordinator.

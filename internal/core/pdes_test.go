@@ -36,11 +36,9 @@ func runPDES(t *testing.T, cfg ClusterConfig) *ClusterResult {
 	return res
 }
 
-// TestPDESWorkerCountInvariant is the parallel engine's determinism pin: a
-// serial coordinator (Workers = 1) and a parallel one must produce
-// identical per-node Results — cross-node state is only touched at
-// barriers, in (arrive, sender, seq) order, independent of which goroutine
-// ran which kernel.
+// TestPDESWorkerCountInvariant pins PDESConfig.Workers as a knob that
+// cannot change a Result: configurations that set any value must render
+// exactly what Workers = 1 renders.
 func TestPDESWorkerCountInvariant(t *testing.T) {
 	serial := runPDES(t, pdesCluster(t, 3, 300, 1))
 	if serial.Cluster.Commits == 0 {
@@ -101,9 +99,8 @@ func TestPDESFailureWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// TestPDESWorkerCountInvariant256 pins the determinism contract at the
-// scale the barrier fast path exists for: 256 kernels, every supported
-// worker count, short windows so the pin stays cheap enough for -race CI.
+// TestPDESWorkerCountInvariant256 pins the Workers contract at 256
+// kernels, short windows so the pin stays cheap enough for -race CI.
 func TestPDESWorkerCountInvariant256(t *testing.T) {
 	build := func(workers int) ClusterConfig {
 		cfg := pdesCluster(t, 256, 2560, workers)
@@ -131,9 +128,9 @@ func TestPDESWorkerCountInvariant256(t *testing.T) {
 
 // TestPDESCrash256 is the 256-node crash scenario CI runs under the race
 // detector: a mid-window crash with rerouted arrivals and redo recovery,
-// replayed serially and on the full 8-worker barrier pool. Divergence or
-// a data race here means the fast-path barrier broke the contract under
-// the hardest schedule at full scale.
+// at Workers 1 and 8. Divergence or a data race here means the
+// coordinator broke the contract under the hardest schedule at full
+// scale.
 func TestPDESCrash256(t *testing.T) {
 	build := func(workers int) ClusterConfig {
 		cfg := pdesCluster(t, 256, 2560, workers)

@@ -361,7 +361,7 @@ func (o Options) pdes256NodeCounts() []float64 {
 }
 
 // ClusterScaleout256 is the shared-NVEM coherence story at the scale the
-// barrier fast path exists for: 64→256 nodes under PDES, 50 TPS per node
+// PDES engine exists for: 64→256 nodes under PDES, 50 TPS per node
 // with per-node storage, comparing one cluster-shared NVEM cache (2000
 // frames, coherence travelling as NVEMAccessDelayMS interconnect
 // messages) against private 500-frame caches. Windows are scaled down —
